@@ -1,16 +1,17 @@
 // Inference-serving benchmark: compiled batched prediction vs the
 // row-at-a-time ForestModel reference, thread scaling of the batched
-// path, end-to-end micro-batching server throughput with latency
+// path, single-thread bulk scoring in the soa and quantized node
+// layouts, end-to-end micro-batching server throughput with latency
 // percentiles from the metrics registry, and a replicated-fleet mode
-// (router + N in-process replicas) sweeping sustained QPS and
+// (router + N in-process replicas) sweeping sustained batches/s and
 // p99/p999 against replica count.
 //
 // Expected shape: the compiled structure-of-arrays traversal beats
 // row-at-a-time prediction by well over 5x on one thread (no per-row
 // PMF vector allocations, one tree's nodes stay hot across a whole row
 // block), and the batched path scales near-linearly with threads since
-// rows are embarrassingly parallel. Fleet QPS should grow with replica
-// count until the single router thread saturates.
+// rows are embarrassingly parallel. Fleet batches/s should grow with
+// replica count until the single router thread saturates.
 //
 // Emits BENCH_serve.json (single-process server) and BENCH_fleet.json
 // (replica-count sweep) into the working directory; CI uploads both.
@@ -86,7 +87,7 @@ void WriteJsonFile(const char* path, const std::string& json) {
 
 struct FleetBenchPoint {
   int replicas = 0;
-  double qps = 0.0;
+  double batches_per_s = 0.0;
   uint64_t p99_us = 0;
   uint64_t p999_us = 0;
 };
@@ -95,8 +96,7 @@ struct FleetBenchPoint {
 /// `num_replicas` in-process FleetReplicas. Every returned label is
 /// checked against the compiled reference; latency percentiles come
 /// from the router's own fleet.latency_us histogram.
-bool RunFleetBench(int num_replicas, NodeLayout node_layout,
-                   const std::string& model_bytes, const DataTable& table,
+bool RunFleetBench(int num_replicas, const std::string& model_bytes, const DataTable& table,
                    const std::vector<int32_t>& ref_labels, size_t requests,
                    size_t rows_per_batch, FleetBenchPoint* out) {
   MetricsRegistry metrics;
@@ -105,7 +105,6 @@ bool RunFleetBench(int num_replicas, NodeLayout node_layout,
   for (int r = 0; r < num_replicas; ++r) {
     FleetReplicaConfig rc;
     rc.rank = r;
-    rc.node_layout = node_layout;
     rc.serve.num_workers = 2;
     rc.serve.max_batch = 256;
     rc.serve.batch_deadline_us = 200;
@@ -164,7 +163,7 @@ bool RunFleetBench(int num_replicas, NodeLayout node_layout,
     return false;
   }
   out->replicas = num_replicas;
-  out->qps = requests > 0 && seconds > 0 ? requests / seconds : 0.0;
+  out->batches_per_s = requests > 0 && seconds > 0 ? requests / seconds : 0.0;
   out->p99_us = lat.Percentile(0.99);
   out->p999_us = lat.Percentile(0.999);
   return true;
@@ -238,16 +237,15 @@ int main(int argc, char** argv) {
   // checked against the row-at-a-time reference. Quantized needs the
   // serving table's bin index; with one bin per distinct value every
   // exact-split threshold is a bin upper, so no tree falls back.
-  std::printf("\n== Node-layout sweep: single-thread bulk scoring "
-              "(simd=%s) ==\n", SimdLevelName(ActiveSimdLevel()));
+  std::printf("\n== Node-layout sweep: single-thread bulk scoring ==\n");
   std::shared_ptr<const BinnedTable> serve_bins =
       BinnedTable::Build(table, 65535);
   const int layout_iters = options.quick ? 3 : 5;
   TablePrinter layout_out(
       {"Layout", "Achieved", "Rows/s", "Speedup vs soa", "Same labels"});
-  double layout_rps[3] = {0.0, 0.0, 0.0};
-  for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kPacked,
-                          NodeLayout::kQuantized}) {
+  double soa_rps = 0.0;
+  double quantized_rps = 0.0;
+  for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kQuantized}) {
     const NodeLayout got_layout = compiled.Repack(
         want, want == NodeLayout::kQuantized ? serve_bins : nullptr);
     double seconds = 0.0;
@@ -257,10 +255,9 @@ int main(int argc, char** argv) {
       same = same && got == ref_labels;
     }
     const double rps = RowsPerSec(rows * layout_iters, seconds);
-    layout_rps[static_cast<int>(want)] = rps;
+    (want == NodeLayout::kSoa ? soa_rps : quantized_rps) = rps;
     layout_out.AddRow({NodeLayoutName(want), NodeLayoutName(got_layout),
-                       Fmt(rps, 0),
-                       Fmt(rps / layout_rps[0], 2) + "x",
+                       Fmt(rps, 0), Fmt(rps / soa_rps, 2) + "x",
                        same ? "yes" : "NO"});
     if (!same) {
       std::printf("FATAL: %s layout labels diverge\n", NodeLayoutName(want));
@@ -269,17 +266,14 @@ int main(int argc, char** argv) {
   }
   layout_out.Print();
   const double traversal_speedup =
-      layout_rps[0] > 0
-          ? std::max(layout_rps[1], layout_rps[2]) / layout_rps[0]
-          : 0.0;
-  // Anchor against the row-at-a-time reference as well: ref code is
-  // untouched by layout/SIMD work, so best_layout/ref is the number to
-  // compare across sessions on a noisy box (the pre-PR recording of
-  // this ratio is compiled_speedup, which was soa-only).
+      soa_rps > 0 ? quantized_rps / soa_rps : 0.0;
+  // Anchor against the row-at-a-time reference as well: the reference
+  // code is untouched by layout work, so this ratio compares across
+  // hosts better than raw rows/s.
   const double best_vs_ref =
-      ref_s > 0 ? std::max(layout_rps[1], layout_rps[2]) / (rows / ref_s) : 0.0;
+      ref_s > 0 ? std::max(soa_rps, quantized_rps) / (rows / ref_s) : 0.0;
   std::printf("best layout vs row-at-a-time reference: %.2fx "
-              "(soa-only compiled_speedup above: %.2fx)\n",
+              "(soa compiled_speedup above: %.2fx)\n",
               best_vs_ref, ref_s / single_s);
 
   // End-to-end micro-batching server: submit every row as its own
@@ -289,7 +283,6 @@ int main(int argc, char** argv) {
   const std::string model_bytes = model_writer.Release();
   MetricsRegistry metrics;
   ModelRegistry registry;
-  if (!registry.SetDefaultLayout(options.node_layout).ok()) return 1;
   if (!registry.Publish("bench", std::move(forest)).ok()) return 1;
   InferenceServerConfig server_cfg;
   server_cfg.num_workers = 4;
@@ -347,20 +340,17 @@ int main(int argc, char** argv) {
 
   char serve_json[768];
   std::snprintf(serve_json, sizeof(serve_json),
-                "{\"bench\":\"serve\",\"rows\":%zu,\"trees\":%d,"
-                "\"simd\":\"%s\",\"layout\":\"%s\","
+                "{\"bench\":\"serve\",\"rows\":%zu,\"trees\":%d,%s,"
                 "\"compiled_speedup\":%.2f,\"compile_s\":%.3f,"
                 "\"st_soa_rows_per_sec\":%.0f,"
-                "\"st_packed_rows_per_sec\":%.0f,"
                 "\"st_quantized_rows_per_sec\":%.0f,"
                 "\"traversal_speedup\":%.2f,"
                 "\"best_layout_speedup_vs_ref\":%.2f,"
-                "\"server_qps\":%.0f,\"p50_us\":%llu,\"p99_us\":%llu,"
-                "\"max_us\":%llu}\n",
-                rows, trees, SimdLevelName(ActiveSimdLevel()),
-                NodeLayoutName(options.node_layout), ref_s / single_s,
-                compile_s, layout_rps[0], layout_rps[1], layout_rps[2],
-                traversal_speedup, best_vs_ref, RowsPerSec(rows, serve_s),
+                "\"server_rows_per_s\":%.0f,\"p50_us\":%llu,"
+                "\"p99_us\":%llu,\"max_us\":%llu}\n",
+                rows, trees, SimdStatusJson().c_str(), ref_s / single_s,
+                compile_s, soa_rps, quantized_rps, traversal_speedup,
+                best_vs_ref, RowsPerSec(rows, serve_s),
                 static_cast<unsigned long long>(lat.Percentile(0.50)),
                 static_cast<unsigned long long>(lat.Percentile(0.99)),
                 static_cast<unsigned long long>(lat.max));
@@ -371,8 +361,8 @@ int main(int argc, char** argv) {
   // checked on every returned label.
   const size_t fleet_requests = options.quick ? 2000 : 8000;
   const size_t rows_per_batch = 16;
-  TablePrinter fleet_out({"Replicas", "QPS (batches/s)", "Rows/s", "p99 (us)",
-                          "p999 (us)"});
+  TablePrinter fleet_out(
+      {"Replicas", "Batches/s", "Rows/s", "p99 (us)", "p999 (us)"});
   std::string fleet_json = "{\"bench\":\"serve-fleet\",\"requests\":" +
                            std::to_string(fleet_requests) +
                            ",\"rows_per_batch\":" +
@@ -380,19 +370,20 @@ int main(int argc, char** argv) {
   bool first = true;
   for (int replicas : {1, 2, 4}) {
     FleetBenchPoint point;
-    if (!RunFleetBench(replicas, options.node_layout, model_bytes, table,
-                       ref_labels, fleet_requests, rows_per_batch, &point)) {
+    if (!RunFleetBench(replicas, model_bytes, table, ref_labels,
+                       fleet_requests, rows_per_batch, &point)) {
       return 1;
     }
-    fleet_out.AddRow({std::to_string(point.replicas), Fmt(point.qps, 0),
-                      Fmt(point.qps * rows_per_batch, 0),
+    fleet_out.AddRow({std::to_string(point.replicas),
+                      Fmt(point.batches_per_s, 0),
+                      Fmt(point.batches_per_s * rows_per_batch, 0),
                       std::to_string(point.p99_us),
                       std::to_string(point.p999_us)});
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"replicas\":%d,\"qps\":%.0f,\"p99_us\":%llu,"
-                  "\"p999_us\":%llu}",
-                  first ? "" : ",", point.replicas, point.qps,
+                  "%s{\"replicas\":%d,\"batches_per_s\":%.0f,"
+                  "\"p99_us\":%llu,\"p999_us\":%llu}",
+                  first ? "" : ",", point.replicas, point.batches_per_s,
                   static_cast<unsigned long long>(point.p99_us),
                   static_cast<unsigned long long>(point.p999_us));
     fleet_json += buf;

@@ -12,7 +12,6 @@
 // Flags: --quick (smaller sizes), --max-bins=N (default 255).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -93,85 +92,19 @@ CaseResult RunCase(TaskKind kind, size_t rows, int max_bins) {
   return r;
 }
 
-// Single-thread histogram-build kernel throughput: the per-node
-// histogram pass, three ways.
-//
-//   scalar: the pre-PR accumulation loop, verbatim — one pass per
-//           column through the code_at()/category_at() accessors
-//           (per-row narrow/wide branch, no fusion). This is the
-//           "before" number.
-//   twin:   the dispatch layer forced to SimdLevel::kScalar — the
-//           raw-pointer scalar twins the parity tests compare against.
-//   simd:   the dispatched fused kernels at the detected level.
-//
-// Rows/sec counts full-node passes (all 8 columns per row).
+// Single-thread histogram-build throughput: the trainer's per-node
+// BuildMany pass over all 8 columns, best of N passes (robust to
+// interference on a shared box). Rows/s counts full-node passes.
 struct KernelResult {
   std::string label;  // "cls" | "reg"
   size_t rows = 0;
-  double scalar_rps = 0.0;  // pre-PR accessor loop
-  double twin_rps = 0.0;    // new scalar twin (TS_SIMD=off path)
-  double simd_rps = 0.0;    // dispatched SIMD kernels
-  double speedup = 0.0;     // simd vs pre-PR
-  bool identical = false;   // histogram payloads bit-identical
+  double rows_per_s = 0.0;
 };
-
-// One column's accumulation loop exactly as NodeHistogram::Build
-// shipped before the kernel layer existed (accessor-based, no fusion).
-// Payloads are returned so the optimizer cannot discard the pass.
-struct BaselineHist {
-  std::vector<int64_t> cls;
-  std::vector<HistRegBin> reg;
-};
-
-BaselineHist BaselineBuild(const BinnedColumn& binned, const Column& target,
-                           const SplitContext& ctx, size_t n) {
-  BaselineHist h;
-  const int slots = binned.missing_code() + 1;
-  if (ctx.kind == TaskKind::kClassification) {
-    const int c = ctx.num_classes;
-    h.cls.assign(static_cast<size_t>(slots) * c, 0);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t row = static_cast<uint32_t>(i);
-      h.cls[static_cast<size_t>(binned.code_at(row)) * c +
-            target.category_at(row)]++;
-    }
-  } else {
-    h.reg.assign(slots, HistRegBin{});
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t row = static_cast<uint32_t>(i);
-      HistRegBin& rb = h.reg[binned.code_at(row)];
-      const double y = target.numeric_at(row);
-      ++rb.n;
-      rb.sum += y;
-      rb.sum_sq += y * y;
-    }
-  }
-  return h;
-}
-
-bool SameHists(const NodeHists& a, const NodeHists& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].cls_size() != b[i].cls_size() ||
-        a[i].reg_size() != b[i].reg_size()) {
-      return false;
-    }
-    if (std::memcmp(a[i].cls_data(), b[i].cls_data(),
-                    a[i].cls_size() * sizeof(int64_t)) != 0) {
-      return false;
-    }
-    if (std::memcmp(a[i].reg_data(), b[i].reg_data(),
-                    a[i].reg_size() * sizeof(HistRegBin)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 KernelResult RunKernelCase(TaskKind kind, size_t rows, int max_bins,
                            int iters) {
   DatasetProfile profile;
-  profile.name = kind == TaskKind::kClassification ? "histk-cls" : "histk-reg";
+  profile.name = kind == TaskKind::kClassification ? "hist-cls" : "hist-reg";
   profile.rows = rows;
   profile.num_numeric = 8;
   profile.num_categorical = 0;
@@ -192,69 +125,24 @@ KernelResult RunKernelCase(TaskKind kind, size_t rows, int max_bins,
   const Column& target = *table.target();
   const size_t n = table.num_rows();
 
-  // Best-of-N pass timing: robust to interference on a shared box.
-  auto run = [&](NodeHists* out) {
-    // One warm-up pass, then the timed iterations.
-    out->assign(cols.size(), NodeHistogram());
+  NodeHists out(cols.size());
+  auto pass = [&] {
     NodeHistogram::BuildMany(cols.data(), cols.size(), target, ctx,
-                             /*rows=*/nullptr, n, out->data());
-    double best = 0.0;
-    for (int i = 0; i < iters; ++i) {
-      out->assign(cols.size(), NodeHistogram());
-      WallTimer t;
-      NodeHistogram::BuildMany(cols.data(), cols.size(), target, ctx,
-                               /*rows=*/nullptr, n, out->data());
-      const double s = t.Seconds();
-      if (i == 0 || s < best) best = s;
-    }
-    return best;
+                             /*rows=*/nullptr, n, out.data());
   };
-
-  auto run_baseline = [&] {
-    std::vector<BaselineHist> out(cols.size());
-    for (size_t c = 0; c < cols.size(); ++c) {
-      out[c] = BaselineBuild(*cols[c], target, ctx, n);  // warm-up
-    }
-    double best = 0.0;
-    for (int i = 0; i < iters; ++i) {
-      WallTimer t;
-      for (size_t c = 0; c < cols.size(); ++c) {
-        out[c] = BaselineBuild(*cols[c], target, ctx, n);
-      }
-      const double s = t.Seconds();
-      if (i == 0 || s < best) best = s;
-    }
-    return std::pair<double, std::vector<BaselineHist>>(best, std::move(out));
-  };
+  pass();  // warm-up
+  double best = 0.0;
+  for (int i = 0; i < iters; ++i) {
+    WallTimer t;
+    pass();
+    const double s = t.Seconds();
+    if (i == 0 || s < best) best = s;
+  }
 
   KernelResult r;
   r.label = kind == TaskKind::kClassification ? "cls" : "reg";
   r.rows = n;
-  const SimdLevel active = ActiveSimdLevel();
-  NodeHists twin_hists;
-  NodeHists simd_hists;
-  auto [baseline_s, baseline_hists] = run_baseline();
-  SetSimdLevel(SimdLevel::kScalar);
-  const double twin_s = run(&twin_hists);
-  SetSimdLevel(active);
-  const double simd_s = run(&simd_hists);
-  const double per_pass = static_cast<double>(n);
-  r.scalar_rps = baseline_s > 0 ? per_pass / baseline_s : 0.0;
-  r.twin_rps = twin_s > 0 ? per_pass / twin_s : 0.0;
-  r.simd_rps = simd_s > 0 ? per_pass / simd_s : 0.0;
-  r.speedup = r.scalar_rps > 0 ? r.simd_rps / r.scalar_rps : 0.0;
-  r.identical = SameHists(twin_hists, simd_hists);
-  // The pre-PR loop must agree bit for bit as well.
-  for (size_t c = 0; r.identical && c < cols.size(); ++c) {
-    const BaselineHist& b = baseline_hists[c];
-    r.identical =
-        b.cls.size() == simd_hists[c].cls_size() &&
-        b.reg.size() == simd_hists[c].reg_size() &&
-        std::memcmp(b.cls.data(), simd_hists[c].cls_data(),
-                    b.cls.size() * sizeof(int64_t)) == 0 &&
-        std::memcmp(b.reg.data(), simd_hists[c].reg_data(),
-                    b.reg.size() * sizeof(HistRegBin)) == 0;
-  }
+  r.rows_per_s = best > 0 ? static_cast<double>(n) / best : 0.0;
   return r;
 }
 
@@ -287,46 +175,30 @@ int Main(int argc, char** argv) {
               "Canonicalize; expected only when the columns have more bins "
               "than distinct values)\n\n");
 
-  // Single-thread kernel throughput: scalar twin vs the dispatched
-  // SIMD level, on the trainer's fused per-node histogram pass.
   const size_t kernel_rows = options.quick ? 200000 : 1000000;
   const int kernel_iters = options.quick ? 5 : 10;
-  std::printf("Histogram-build kernel (single thread, %zu rows x 8 columns, "
-              "simd=%s, detected=%s):\n",
-              kernel_rows, SimdLevelName(ActiveSimdLevel()),
-              SimdLevelName(DetectedSimdLevel()));
-  TablePrinter kernel_table({"task", "pre-PR rows/s", "scalar-twin rows/s",
-                             "simd rows/s", "speedup", "bit-identical"});
+  std::printf("Histogram build (single thread, %zu rows x 8 columns, best "
+              "of %d passes):\n",
+              kernel_rows, kernel_iters);
+  TablePrinter kernel_table({"task", "rows/s"});
   std::vector<KernelResult> kernels;
   for (TaskKind kind : {TaskKind::kClassification, TaskKind::kRegression}) {
     KernelResult k = RunKernelCase(kind, kernel_rows, options.max_bins,
                                    kernel_iters);
-    kernel_table.AddRow({k.label, Fmt(k.scalar_rps, 0), Fmt(k.twin_rps, 0),
-                         Fmt(k.simd_rps, 0), Fmt(k.speedup, 2) + "x",
-                         k.identical ? "yes" : "NO"});
+    kernel_table.AddRow({k.label, Fmt(k.rows_per_s, 0)});
     kernels.push_back(std::move(k));
   }
   kernel_table.Print();
   std::printf("\n");
 
   std::string json = "{\"bench\":\"split\",\"max_bins\":" +
-                     std::to_string(options.max_bins) + ",\"simd\":\"" +
-                     SimdLevelName(ActiveSimdLevel()) + "\"";
+                     std::to_string(options.max_bins) + "," +
+                     SimdStatusJson();
   for (const KernelResult& k : kernels) {
-    char kbuf[200];
-    std::snprintf(kbuf, sizeof(kbuf),
-                  ",\"hist_build_%s_scalar_rps\":%.0f,"
-                  "\"hist_build_%s_twin_rps\":%.0f,"
-                  "\"hist_build_%s_simd_rps\":%.0f,"
-                  "\"hist_build_%s_speedup\":%.2f",
-                  k.label.c_str(), k.scalar_rps, k.label.c_str(), k.twin_rps,
-                  k.label.c_str(), k.simd_rps, k.label.c_str(), k.speedup);
+    char kbuf[80];
+    std::snprintf(kbuf, sizeof(kbuf), ",\"hist_build_%s_rows_per_s\":%.0f",
+                  k.label.c_str(), k.rows_per_s);
     json += kbuf;
-    if (!k.identical) {
-      std::printf("FATAL: %s kernel histograms diverge between scalar and "
-                  "SIMD\n", k.label.c_str());
-      return 1;
-    }
   }
   char buf[160];
   for (const CaseResult& r : results) {

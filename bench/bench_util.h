@@ -8,7 +8,6 @@
 
 #include "common/timer.h"
 #include "engine/cluster.h"
-#include "serve/layout.h"
 #include "table/datasets.h"
 
 namespace treeserver {
@@ -34,12 +33,6 @@ namespace bench {
 ///
 ///   --split-method=exact|histogram   numeric split kernel
 ///   --max-bins=N                     histogram bin budget (default 255)
-///
-/// Serving knobs:
-///
-///   --node-layout=soa|packed   compiled-node layout the serve/fleet
-///                              phases publish models in (bulk-scoring
-///                              sections always sweep all layouts)
 struct BenchOptions {
   double scale = 0.0005;
   size_t min_rows = 3000;
@@ -51,7 +44,6 @@ struct BenchOptions {
   bool dump_metrics = false;
   SplitMethod split_method = SplitMethod::kExact;
   int max_bins = 255;
-  NodeLayout node_layout = NodeLayout::kSoa;
 
   static BenchOptions Parse(int argc, char** argv);
 };

@@ -1,97 +1,23 @@
 #include "common/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/logging.h"
-
 namespace treeserver {
 
 namespace {
 
-/// Best level the build + CPU can execute, before the env override.
-SimdLevel Probe() {
-#if TS_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#elif TS_SIMD_ENABLED && defined(__aarch64__)
-  // AArch64 mandates NEON (Advanced SIMD); no runtime probe needed.
-  return SimdLevel::kNeon;
+const char* DetectedIsa() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+#elif defined(__aarch64__)
+  return "neon";  // AArch64 mandates NEON (Advanced SIMD)
 #endif
-  return SimdLevel::kScalar;
-}
-
-bool Executable(SimdLevel level) {
-  return level == SimdLevel::kScalar || level == Probe();
-}
-
-/// Resolves the startup level: the probed best, unless TS_SIMD in the
-/// environment narrows it. Unknown values and levels this build/CPU
-/// cannot run are logged and ignored.
-SimdLevel Resolve() {
-  SimdLevel level = Probe();
-  const char* env = std::getenv("TS_SIMD");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
-    return level;
-  }
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
-      std::strcmp(env, "0") == 0) {
-    return SimdLevel::kScalar;
-  }
-  SimdLevel want = level;
-  if (std::strcmp(env, "avx2") == 0) {
-    want = SimdLevel::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    want = SimdLevel::kNeon;
-  } else {
-    TS_LOG(kWarn) << "TS_SIMD=" << env
-                 << " not recognized (want off|scalar|avx2|neon|auto); "
-                 << "using " << SimdLevelName(level);
-    return level;
-  }
-  if (!Executable(want)) {
-    TS_LOG(kWarn) << "TS_SIMD=" << env << " requested but this "
-                 << (Probe() == SimdLevel::kScalar ? "build/CPU" : "CPU")
-                 << " cannot run it; using " << SimdLevelName(level);
-    return level;
-  }
-  return want;
-}
-
-std::atomic<int>& ActiveSlot() {
-  static std::atomic<int> active{static_cast<int>(Resolve())};
-  return active;
+  return "scalar";
 }
 
 }  // namespace
 
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-SimdLevel ActiveSimdLevel() {
-  return static_cast<SimdLevel>(ActiveSlot().load(std::memory_order_relaxed));
-}
-
-SimdLevel DetectedSimdLevel() { return Probe(); }
-
-bool SetSimdLevel(SimdLevel level) {
-  if (!Executable(level)) return false;
-  ActiveSlot().store(static_cast<int>(level), std::memory_order_relaxed);
-  return true;
-}
-
 std::string SimdStatusJson() {
-  return std::string("\"simd\":\"") + SimdLevelName(ActiveSimdLevel()) +
-         "\",\"simd_detected\":\"" + SimdLevelName(DetectedSimdLevel()) + "\"";
+  return std::string("\"simd\":\"scalar\",\"simd_detected\":\"") +
+         DetectedIsa() + "\"";
 }
 
 }  // namespace treeserver

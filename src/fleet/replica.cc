@@ -21,8 +21,6 @@ FleetReplica::FleetReplica(Transport* transport, FleetReplicaConfig config)
       dup_admin_(metrics_.GetCounter("fleet.replica.dup_admin")) {
   InferenceServerConfig serve = config_.serve;
   if (serve.metrics == nullptr) serve.metrics = &metrics_;
-  TS_CHECK(registry_.SetDefaultLayout(config_.node_layout).ok())
-      << "fleet replica: invalid node layout";
   server_ = std::make_unique<InferenceServer>(&registry_, serve);
 }
 

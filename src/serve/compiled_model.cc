@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "serve/serve_kernels.h"
 
 namespace treeserver {
 
@@ -114,16 +113,9 @@ NodeLayout CompiledTree::Repack(NodeLayout want, const BinnedTable* binned) {
   layout_ = NodeLayout::kSoa;
   if (want == NodeLayout::kQuantized) {
     TS_CHECK(binned != nullptr) << "quantized layout needs a BinnedTable";
+    // nullptr (thresholds off the bin grid) keeps this tree on soa.
     packed_ = PackedTree::PackQuantized(*this, *binned);
-    if (packed_ != nullptr) {
-      layout_ = NodeLayout::kQuantized;
-      return layout_;
-    }
-    want = NodeLayout::kPacked;  // thresholds off the bin grid
-  }
-  if (want == NodeLayout::kPacked) {
-    packed_ = PackedTree::Pack(*this);
-    if (packed_ != nullptr) layout_ = NodeLayout::kPacked;
+    if (packed_ != nullptr) layout_ = NodeLayout::kQuantized;
   }
   return layout_;
 }
@@ -304,15 +296,18 @@ void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
   BuildContext(table, &ctx);
   std::vector<int32_t> nodes(n);
   // Accumulate per-tree PMFs in tree order, then scale — the same
-  // float operations, in the same order, as ForestModel::PredictPmf
-  // (the serve kernels are element-wise, so SIMD changes no bits).
+  // float operations, in the same order, as ForestModel::PredictPmf.
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedPmf(out_pmf, nodes.data(), n, k,
-                          tree.active_pmf_pool());
+    const float* pool = tree.active_pmf_pool();
+    for (size_t i = 0; i < n; ++i) {
+      const float* p = pool + static_cast<size_t>(nodes[i]) * k;
+      float* o = out_pmf + i * k;
+      for (size_t c = 0; c < k; ++c) o[c] += p[c];
+    }
   }
   const float inv = 1.0f / static_cast<float>(trees_.size());
-  servek::ScaleF32(out_pmf, n * k, inv);
+  for (size_t i = 0; i < n * k; ++i) out_pmf[i] *= inv;
 }
 
 void CompiledForest::PredictLabel(const DataTable& table, const uint32_t* rows,
@@ -343,13 +338,13 @@ void CompiledForest::PredictValue(const DataTable& table, const uint32_t* rows,
   std::vector<int32_t> nodes(n);
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedValue(out_values, nodes.data(), n,
-                            tree.active_values());
+    const double* pool = tree.active_values();
+    for (size_t i = 0; i < n; ++i) out_values[i] += pool[nodes[i]];
   }
   const double count = static_cast<double>(trees_.size());
   // Divide (not multiply by a reciprocal): ForestModel::PredictValue
   // divides, and the results must be bit-identical.
-  servek::DivF64(out_values, n, count);
+  for (size_t i = 0; i < n; ++i) out_values[i] /= count;
 }
 
 namespace {

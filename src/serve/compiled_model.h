@@ -92,11 +92,10 @@ class CompiledTree {
 
   /// Re-encodes the node tables into `want` (serve/layout.h) and
   /// returns the layout actually achieved: kQuantized needs `binned`
-  /// (the serving table's bin index) and falls back to kPacked when
-  /// any numeric threshold is not exactly a bin upper; kPacked falls
-  /// back to kSoa when the tree exceeds the packed field widths.
-  /// After a repack, RouteRows emits node ids of the NEW layout — use
-  /// the active_* pools below to read predictions.
+  /// (the serving table's bin index) and falls back to kSoa when any
+  /// numeric threshold is not exactly a bin upper. After a repack,
+  /// RouteRows emits node ids of the NEW layout — use the active_*
+  /// pools below to read predictions.
   NodeLayout Repack(NodeLayout want, const BinnedTable* binned);
   NodeLayout layout() const { return layout_; }
 
@@ -112,8 +111,8 @@ class CompiledTree {
     return packed_ ? packed_->values() : value_.data();
   }
 
-  /// Read-only SoA node tables, for PackedTree::Pack and white-box
-  /// tests. Indices are the original (pre-repack) node ids.
+  /// Read-only SoA node tables, for PackedTree::PackQuantized and
+  /// white-box tests. Indices are the original (pre-repack) node ids.
   int32_t raw_col(int32_t i) const { return col_[i]; }
   bool raw_is_cat(int32_t i) const { return is_cat_[i] != 0; }
   double raw_threshold(int32_t i) const { return threshold_[i]; }
@@ -152,7 +151,7 @@ class CompiledTree {
 
   std::vector<int32_t> used_columns_;
 
-  // Non-SoA layouts (serve/packed_tree.h); null while layout_ == kSoa.
+  // Quantized nodes (serve/packed_tree.h); null while layout_ == kSoa.
   NodeLayout layout_ = NodeLayout::kSoa;
   std::shared_ptr<const PackedTree> packed_;
 };
@@ -202,13 +201,13 @@ class CompiledForest {
   const std::vector<int32_t>& used_columns() const { return used_columns_; }
 
   /// Re-encodes every tree into `want` and returns the weakest layout
-  /// any tree achieved (they can diverge only via per-tree quantized →
-  /// packed fallback). kQuantized requires `binned`, built from the
-  /// very table rows will be scored against — it is kept and used to
-  /// feed bin codes into every RowBlockContext, so quantized forests
-  /// must only serve that stationary table (the bulk-scoring path;
-  /// InferenceServer restricts itself to soa|packed). Predictions are
-  /// byte-identical across layouts.
+  /// any tree achieved (they diverge only via the per-tree quantized →
+  /// soa fallback). kQuantized requires `binned`, built from the very
+  /// table rows will be scored against — it is kept and used to feed
+  /// bin codes into every RowBlockContext, so quantized forests must
+  /// only serve that stationary table (the bulk-scoring path; the
+  /// request servers always serve soa). Predictions are byte-identical
+  /// across layouts.
   NodeLayout Repack(NodeLayout want,
                     std::shared_ptr<const BinnedTable> binned = nullptr);
   NodeLayout layout() const { return layout_; }

@@ -10,57 +10,27 @@ namespace treeserver {
 /// trade memory footprint for speed, never accuracy.
 enum class NodeLayout : uint8_t {
   /// Structure-of-arrays (the original CompiledTree tables). Always
-  /// available; the layout every model starts in.
+  /// available; the layout every model starts in and the only one the
+  /// request servers use.
   kSoa = 0,
-  /// Bit-packed 16-byte nodes in breadth-first order with the
-  /// right = left + 1 convention (serve/packed_tree.h), walked by the
-  /// interleaved multi-row traversal with software prefetch.
-  kPacked = 1,
-  /// Packed nodes whose numeric thresholds are quantized to bin codes
-  /// of a serving-table BinnedTable: the double compare becomes a
-  /// uint16 compare against the row's precomputed bin code. Only valid
-  /// for bulk scoring against the stationary table the BinnedTable was
-  /// built from; trees whose thresholds don't all fall on bin uppers
-  /// fall back to kPacked tree by tree.
-  kQuantized = 2,
+  /// Bit-packed breadth-first nodes (serve/packed_tree.h) whose numeric
+  /// thresholds are quantized to bin codes of a serving-table
+  /// BinnedTable: the double compare becomes a uint16 compare against
+  /// the row's precomputed bin code. Only valid for bulk scoring
+  /// against the stationary table the BinnedTable was built from;
+  /// trees whose thresholds don't all fall on bin uppers fall back to
+  /// kSoa tree by tree.
+  kQuantized = 1,
 };
 
 inline const char* NodeLayoutName(NodeLayout layout) {
   switch (layout) {
     case NodeLayout::kSoa:
       return "soa";
-    case NodeLayout::kPacked:
-      return "packed";
     case NodeLayout::kQuantized:
       return "quantized";
   }
   return "unknown";
-}
-
-/// Parses "soa" | "packed" | "quantized"; false on anything else.
-inline bool ParseNodeLayout(const char* s, NodeLayout* out) {
-  if (s == nullptr) return false;
-  const auto eq = [s](const char* t) {
-    const char* a = s;
-    while (*a && *t && *a == *t) {
-      ++a;
-      ++t;
-    }
-    return *a == '\0' && *t == '\0';
-  };
-  if (eq("soa")) {
-    *out = NodeLayout::kSoa;
-    return true;
-  }
-  if (eq("packed")) {
-    *out = NodeLayout::kPacked;
-    return true;
-  }
-  if (eq("quantized")) {
-    *out = NodeLayout::kQuantized;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace treeserver

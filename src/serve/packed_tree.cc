@@ -1,7 +1,6 @@
 #include "serve/packed_tree.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -11,20 +10,10 @@ namespace treeserver {
 
 namespace {
 constexpr uint64_t kCatBit = uint64_t{1} << 20;
-constexpr uint32_t kDepthMask = 0x3FF;  // bits 21..30
 }  // namespace
-
-std::shared_ptr<const PackedTree> PackedTree::Pack(const CompiledTree& tree) {
-  return PackImpl(tree, nullptr);
-}
 
 std::shared_ptr<const PackedTree> PackedTree::PackQuantized(
     const CompiledTree& tree, const BinnedTable& binned) {
-  return PackImpl(tree, &binned);
-}
-
-std::shared_ptr<const PackedTree> PackedTree::PackImpl(
-    const CompiledTree& tree, const BinnedTable* binned) {
   const size_t n = tree.num_nodes();
   if (n == 0 || n >= 0xFFFFFFFFull) return nullptr;
 
@@ -47,10 +36,9 @@ std::shared_ptr<const PackedTree> PackedTree::PackImpl(
   }
 
   std::shared_ptr<PackedTree> out(new PackedTree());
-  out->quantized_ = binned != nullptr;
   // Dummy byte at route offset 0: numeric nodes' unconditional (then
   // discarded) route-table load lands here.
-  if (binned != nullptr) out->route_pool_.push_back(0);
+  out->route_pool_.push_back(0);
   out->num_classes_ = tree.num_classes();
   const size_t m = order.size();
   const size_t k = static_cast<size_t>(out->num_classes_);
@@ -59,10 +47,10 @@ std::shared_ptr<const PackedTree> PackedTree::PackImpl(
   out->value_.reserve(m);
   if (tree.kind() == TaskKind::kClassification) out->pmf_pool_.reserve(m * k);
 
-  // Quantized leaves must carry a dereferenceable column id for the
-  // branchless walker; any used column works (every used column has a
-  // ucodes array). A single-leaf tree has none, but also depth 0, so
-  // the walker never reads a node there.
+  // Leaves must carry a dereferenceable column id for the branchless
+  // walker; any used column works (every used column has a ucodes
+  // array). A single-leaf tree has none, but also depth 0, so the
+  // walker never reads a node there.
   const uint32_t safe_col =
       tree.used_columns().empty()
           ? 0
@@ -71,70 +59,57 @@ std::shared_ptr<const PackedTree> PackedTree::PackImpl(
   for (size_t q = 0; q < m; ++q) {
     const int32_t old = order[q];
     const int32_t col = tree.raw_col(old);
-    const uint32_t depth = tree.raw_depth(old);
-    if (depth > static_cast<uint32_t>(kMaxDepth)) return nullptr;
-    out->tree_depth_ = std::max(out->tree_depth_, depth);
-    uint64_t meta = uint64_t{depth} << 21;
+    out->tree_depth_ =
+        std::max(out->tree_depth_, uint32_t{tree.raw_depth(old)});
+    uint64_t meta = 0;
     uint64_t aux = 0;
     if (col < 0) {
-      if (binned != nullptr) {
-        // Self-loop: code <= 0xFFFF always routes "left", i.e. back
-        // here, and the stop route parks here too.
-        meta |= safe_col | (uint64_t{static_cast<uint32_t>(q)} << 32);
-        aux = 0xFFFF;
-      } else {
-        meta |= kLeafCol;
-      }
+      // Self-loop: code <= 0xFFFF always routes "left", i.e. back
+      // here, and the stop route parks here too.
+      meta = safe_col | (uint64_t{static_cast<uint32_t>(q)} << 32);
+      aux = 0xFFFF;
     } else {
-      if (col >= static_cast<int32_t>(kLeafCol)) return nullptr;
+      if (col > static_cast<int32_t>(kColMask)) return nullptr;
       const uint32_t left = static_cast<uint32_t>(newid[tree.raw_left(old)]);
       TS_DCHECK(newid[tree.raw_right(old)] ==
                 static_cast<int32_t>(left) + 1);
-      meta |= static_cast<uint32_t>(col) | (uint64_t{left} << 32);
+      meta = static_cast<uint32_t>(col) | (uint64_t{left} << 32);
       if (tree.raw_is_cat(old)) {
         meta |= kCatBit;
+        // Byte route table: 0 = left mask, 1 = right mask, 2 = stop
+        // (unseen), with a stop sentinel at slot `cap` so clamped
+        // out-of-range / missing codes land on it. Context codes are
+        // uint16, so caps beyond the code space cannot quantize. cap
+        // sits in aux bits 16..31 and the table offset in bits 32..63;
+        // numeric nodes leave both zero, so their clamped route load
+        // harmlessly hits the dummy byte at offset 0.
         const uint32_t words = tree.raw_cat_words(old);
         const uint64_t* src =
             tree.raw_cat_pool().data() + tree.raw_cat_offset(old);
-        if (binned != nullptr) {
-          // Byte route table: 0 = left mask, 1 = right mask, 2 = stop
-          // (unseen), with a stop sentinel at slot `cap` so clamped
-          // out-of-range / missing codes land on it. Context codes are
-          // uint16, so caps beyond the code space cannot quantize.
-          // cap sits in aux bits 16..31 and the table offset in bits
-          // 32..63; numeric nodes leave both zero, so their clamped
-          // route load harmlessly hits the dummy byte at offset 0.
-          const uint32_t cap = words * 64;
-          if (cap > RowBlockContext::kStopCode) return nullptr;
-          const uint32_t off = static_cast<uint32_t>(out->route_pool_.size());
-          out->route_pool_.resize(off + cap + 1, 2);
-          for (uint32_t c = 0; c < cap; ++c) {
-            const uint64_t bit = uint64_t{1} << (c & 63);
-            if (src[c >> 6] & bit) {
-              out->route_pool_[off + c] = 0;
-            } else if (src[words + (c >> 6)] & bit) {
-              out->route_pool_[off + c] = 1;
-            }
+        const uint32_t cap = words * 64;
+        if (cap > RowBlockContext::kStopCode) return nullptr;
+        const uint32_t off = static_cast<uint32_t>(out->route_pool_.size());
+        out->route_pool_.resize(off + cap + 1, 2);
+        for (uint32_t c = 0; c < cap; ++c) {
+          const uint64_t bit = uint64_t{1} << (c & 63);
+          if (src[c >> 6] & bit) {
+            out->route_pool_[off + c] = 0;
+          } else if (src[words + (c >> 6)] & bit) {
+            out->route_pool_[off + c] = 1;
           }
-          aux = (uint64_t{off} << 32) | (uint64_t{cap} << 16);
-        } else {
-          const uint32_t off = static_cast<uint32_t>(out->cat_pool_.size());
-          out->cat_pool_.insert(out->cat_pool_.end(), src, src + 2 * words);
-          aux = (uint64_t{words} << 32) | off;
         }
-      } else if (binned != nullptr) {
+        aux = (uint64_t{off} << 32) | (uint64_t{cap} << 16);
+      } else {
         // Quantization is only exact when the threshold IS a bin
         // upper of the serving table: then `v <= thr` and
         // `code(v) <= code(thr)` agree for every value in the table.
-        const BinnedColumn* bc = binned->column(col);
+        const BinnedColumn* bc = binned.column(col);
         if (bc == nullptr) return nullptr;
         const double thr = tree.raw_threshold(old);
         if (std::isnan(thr)) return nullptr;
         const uint16_t code = bc->CodeOf(thr);
         if (code >= bc->num_bins() || bc->upper(code) != thr) return nullptr;
         aux = code;
-      } else {
-        aux = std::bit_cast<uint64_t>(tree.raw_threshold(old));
       }
     }
     out->words_.push_back(meta);
@@ -152,90 +127,6 @@ std::shared_ptr<const PackedTree> PackedTree::PackImpl(
 void PackedTree::RouteRows(const RowBlockContext& ctx, const uint32_t* rows,
                            size_t n, int max_depth,
                            int32_t* out_nodes) const {
-  if (quantized_) {
-    RouteRowsQuantized(ctx, rows, n, max_depth, out_nodes);
-    return;
-  }
-  const uint64_t* words = words_.data();
-  const uint64_t* catp = cat_pool_.data();
-  const uint32_t depth_limit =
-      max_depth < 0 ? 0xFFFFFFFFu : static_cast<uint32_t>(max_depth);
-
-  uint32_t lrow[kLanes];
-  int32_t lid[kLanes];
-  size_t lout[kLanes];
-  int active = 0;
-  size_t next = 0;
-  while (next < n && active < kLanes) {
-    lrow[active] = rows[next];
-    lid[active] = 0;
-    lout[active] = next;
-    ++active;
-    ++next;
-  }
-
-  // One tree level per sweep, kLanes rows in flight: the prefetch of
-  // each lane's next node overlaps the compute of the other lanes, so
-  // throughput is bounded by memory-level parallelism instead of one
-  // serial miss chain per row.
-  while (active > 0) {
-    for (int l = 0; l < active;) {
-      const int32_t id = lid[l];
-      const uint64_t m = words[2 * id];
-      const uint32_t col = static_cast<uint32_t>(m) & kLeafCol;
-      int32_t nxt = -1;
-      if (col != kLeafCol &&
-          ((static_cast<uint32_t>(m) >> 21) & kDepthMask) < depth_limit) {
-        const int32_t left = static_cast<int32_t>(m >> 32);
-        const uint64_t aux = words[2 * id + 1];
-        if ((m & kCatBit) == 0) {
-          const double v = ctx.numeric[col][lrow[l]];
-          if (!std::isnan(v)) {
-            nxt = v <= std::bit_cast<double>(aux) ? left : left + 1;
-          }
-        } else {
-          const int32_t code = ctx.category[col][lrow[l]];
-          if (code >= 0) {
-            const uint32_t nwords = static_cast<uint32_t>(aux >> 32);
-            const uint32_t word = static_cast<uint32_t>(code) >> 6;
-            if (word < nwords) {
-              const uint64_t* masks = catp + static_cast<uint32_t>(aux);
-              const uint64_t bit = uint64_t{1} << (code & 63);
-              if (masks[word] & bit) {
-                nxt = left;
-              } else if (masks[nwords + word] & bit) {
-                nxt = left + 1;
-              }
-            }
-          }
-        }
-      }
-      if (nxt < 0) {  // stop here: leaf / depth / missing / unseen
-        out_nodes[lout[l]] = id;
-        if (next < n) {
-          lrow[l] = rows[next];
-          lid[l] = 0;
-          lout[l] = next;
-          ++next;
-        } else {
-          --active;
-          lrow[l] = lrow[active];
-          lid[l] = lid[active];
-          lout[l] = lout[active];
-        }
-        continue;  // re-sweep the refilled / swapped-in lane
-      }
-      lid[l] = nxt;
-      __builtin_prefetch(words + 2 * nxt, 0, 3);
-      ++l;
-    }
-  }
-}
-
-void PackedTree::RouteRowsQuantized(const RowBlockContext& ctx,
-                                    const uint32_t* rows, size_t n,
-                                    int max_depth,
-                                    int32_t* out_nodes) const {
   const uint32_t depth_limit =
       max_depth < 0 ? tree_depth_
                     : std::min(tree_depth_, static_cast<uint32_t>(max_depth));
@@ -264,7 +155,7 @@ void PackedTree::RouteRowsQuantized(const RowBlockContext& ctx,
         const int32_t cur = id[i];
         const uint64_t meta = words[2 * cur];
         const uint64_t aux = words[2 * cur + 1];
-        const uint32_t col = static_cast<uint32_t>(meta) & kLeafCol;
+        const uint32_t col = static_cast<uint32_t>(meta) & kColMask;
         const int32_t left = static_cast<int32_t>(meta >> 32);
         const uint16_t code = ucodes[col][brows[i]];
         // Leaf / missing / depth handling is folded into the encoding
@@ -289,8 +180,7 @@ void PackedTree::RouteRowsQuantized(const RowBlockContext& ctx,
 }
 
 size_t PackedTree::ByteSize() const {
-  return words_.size() * sizeof(uint64_t) +
-         cat_pool_.size() * sizeof(uint64_t) + route_pool_.size() +
+  return words_.size() * sizeof(uint64_t) + route_pool_.size() +
          pmf_pool_.size() * sizeof(float) + label_.size() * sizeof(int32_t) +
          value_.size() * sizeof(double);
 }

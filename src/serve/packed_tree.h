@@ -12,25 +12,21 @@ namespace treeserver {
 class CompiledTree;
 struct RowBlockContext;
 
-/// A CompiledTree re-encoded as bit-packed 16-byte nodes in
-/// breadth-first order (after SNIPPETS.md §1's 32-bit Tree_node, scaled
-/// up to keep exact doubles): siblings are adjacent with
-/// right = left + 1, so one child pointer serves both and a whole
-/// depth-12 tree sits in L2. Each node is two 64-bit words:
+/// A CompiledTree re-encoded for the quantized bulk-scoring layout
+/// (serve/layout.h): bit-packed 16-byte nodes in breadth-first order
+/// (after SNIPPETS.md §1's 32-bit Tree_node). Siblings are adjacent
+/// with right = left + 1, so one child pointer serves both. Each node
+/// is two 64-bit words:
 ///
-///   meta  bits  0..19  split column (kLeafCol marks a leaf)
+///   meta  bits  0..19  split column
 ///         bit   20     categorical split
-///         bits 21..30  node depth (predict-at-any-depth cutoff)
 ///         bits 32..63  left child index; right child = left + 1
-///   aux   numeric split: bit_cast<uint64_t>(threshold)
-///         quantized numeric split: the threshold's bin code
-///         categorical split: (mask_words << 32) | cat_pool offset
-///         quantized categorical split: (route_pool offset << 32) |
+///   aux   numeric split: the threshold's bin code
+///         categorical split: (route_pool offset << 32) |
 ///         (table_cap << 16) — see the route-table note below
 ///
-/// The quantized encoding additionally turns every node into a
-/// BRANCHLESS step so RouteRows can sweep whole row blocks one tree
-/// level at a time with no data-dependent branches:
+/// Every node is a BRANCHLESS step, so RouteRows sweeps whole row
+/// blocks one tree level at a time with no data-dependent branches:
 ///
 ///  - categorical splits carry a byte route table instead of bitmask
 ///    words: route_pool_[off + min(code, cap)] is 0 (go left),
@@ -55,50 +51,34 @@ struct RowBlockContext;
 ///
 /// Routing semantics are exactly CompiledTree::RouteRows — leaf, depth
 /// cutoff, missing value and unseen category all stop at the current
-/// node. The quantized variant replaces the double compare
-/// `v <= threshold` with `code <= threshold_bin` against the row's
-/// precomputed bin code; PackQuantized only succeeds when every
-/// numeric threshold is EXACTLY the upper bound of its bin in the
-/// serving table's BinnedTable (then the two compares agree for every
-/// value the table contains — bins partition values monotonically and
-/// no serving value exceeds its column's last bin, since the
-/// BinnedTable was built from this very table), and missing values
-/// carry the dedicated missing code, which stops the walk just like
-/// NaN. Byte-identical predictions are fuzz-checked in
-/// tests/simd_test.cc.
-///
-/// RouteRows walks up to kLanes rows interleaved, prefetching each
-/// lane's next node while the other lanes execute — tree traversal is
-/// latency-bound pointer chasing, so memory-level parallelism, not
-/// vector width, is what multi-row batching buys here.
+/// node — with the double compare `v <= threshold` replaced by
+/// `code <= threshold_bin` against the row's precomputed bin code.
+/// PackQuantized only succeeds when every numeric threshold is EXACTLY
+/// the upper bound of its bin in the serving table's BinnedTable (then
+/// the two compares agree for every value the table contains — bins
+/// partition values monotonically and no serving value exceeds its
+/// column's last bin, since the BinnedTable was built from this very
+/// table), and missing values carry the dedicated missing code, which
+/// stops the walk just like NaN. Byte-identical predictions are
+/// fuzz-checked in tests/serve_test.cc.
 class PackedTree {
  public:
-  static constexpr uint32_t kLeafCol = 0xFFFFF;  // 20-bit sentinel
-  static constexpr int kMaxDepth = 1023;         // 10-bit field
-  static constexpr int kLanes = 16;              // rows in flight
-
-  /// Packs with exact double thresholds. Returns nullptr when the tree
-  /// exceeds the packed limits (column id >= kLeafCol, depth >
-  /// kMaxDepth, or >= 2^32 - 1 nodes) — the caller keeps serving SoA.
-  static std::shared_ptr<const PackedTree> Pack(const CompiledTree& tree);
+  static constexpr uint32_t kColMask = 0xFFFFF;  // 20-bit column field
 
   /// Packs with numeric thresholds quantized to bin codes of `binned`
   /// (the BinnedTable of the table rows will be routed against).
   /// Returns nullptr when any numeric threshold is not exactly a bin
-  /// upper of its column (or a split column is unbinned, or the packed
-  /// limits are exceeded) — the caller falls back to Pack().
+  /// upper of its column, a split column is unbinned, or the tree
+  /// exceeds the packed field widths — the caller keeps serving SoA.
   static std::shared_ptr<const PackedTree> PackQuantized(
       const CompiledTree& tree, const BinnedTable& binned);
 
   /// Same contract as CompiledTree::RouteRows; emits PACKED node ids.
-  /// Quantized trees read ctx.ucodes, which BuildContext fills from
-  /// the forest's serving BinnedTable, and take the branchless
-  /// level-synchronous walker; exact-threshold packed trees take the
-  /// lane-interleaved pointer chase.
+  /// Reads ctx.ucodes, which CompiledForest fills from its serving
+  /// BinnedTable.
   void RouteRows(const RowBlockContext& ctx, const uint32_t* rows, size_t n,
                  int max_depth, int32_t* out_nodes) const;
 
-  bool quantized() const { return quantized_; }
   size_t num_nodes() const { return words_.size() / 2; }
 
   /// Prediction pools, indexed by packed node id.
@@ -106,27 +86,19 @@ class PackedTree {
   const int32_t* labels() const { return label_.data(); }
   const double* values() const { return value_.data(); }
 
-  /// Node payload bytes (16 per node + masks + prediction pools).
+  /// Node payload bytes (16 per node + route tables + prediction pools).
   size_t ByteSize() const;
 
  private:
   PackedTree() = default;
 
-  static std::shared_ptr<const PackedTree> PackImpl(const CompiledTree& tree,
-                                                    const BinnedTable* binned);
-
-  void RouteRowsQuantized(const RowBlockContext& ctx, const uint32_t* rows,
-                          size_t n, int max_depth, int32_t* out_nodes) const;
-
-  bool quantized_ = false;
   int num_classes_ = 0;
   uint32_t tree_depth_ = 0;  // deepest node; bounds the level sweeps
   // Interleaved node words: node i is {meta, aux} at words_[2i, 2i+1],
   // so one step touches one cache line and a 64-byte line holds two
   // sibling pairs.
   std::vector<uint64_t> words_;
-  std::vector<uint64_t> cat_pool_;
-  std::vector<uint8_t> route_pool_;  // quantized categorical route tables
+  std::vector<uint8_t> route_pool_;  // categorical route tables
   std::vector<float> pmf_pool_;  // num_nodes * num_classes
   std::vector<int32_t> label_;
   std::vector<double> value_;

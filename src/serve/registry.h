@@ -22,9 +22,6 @@ struct ServedModel {
   uint32_t version = 0;
   ModelKind kind = ModelKind::kForest;
   CompiledForest compiled;
-  /// Node layout `compiled` serves from (the registry default at
-  /// publish time; layouts are byte-parity so this only affects speed).
-  NodeLayout layout = NodeLayout::kSoa;
   std::shared_ptr<const ForestModel> source;
 };
 
@@ -52,14 +49,6 @@ class ModelRegistry {
   /// serves tabular models.
   Result<uint32_t> PublishFromFile(const std::string& name,
                                    const std::string& path);
-
-  /// Node layout future publishes compile into (`--node-layout`).
-  /// Only kSoa and kPacked are accepted: kQuantized routes on
-  /// precomputed bin codes of one stationary table, which an ad-hoc
-  /// request server does not have. Already-published versions keep
-  /// their layout.
-  Status SetDefaultLayout(NodeLayout layout);
-  NodeLayout default_layout() const;
 
   /// Current version of a model; nullptr when the name is unknown.
   /// Costs one brief per-entry lock (taken once per batch, not per
@@ -91,7 +80,6 @@ class ModelRegistry {
     uint32_t version = 0;  // current
     size_t num_versions = 0;
     ModelKind kind = ModelKind::kForest;
-    NodeLayout layout = NodeLayout::kSoa;
   };
   /// Current version + history depth for every registered model,
   /// sorted by name.
@@ -119,7 +107,6 @@ class ModelRegistry {
 
   mutable std::mutex mu_;  // guards the name -> entry map shape
   std::map<std::string, std::unique_ptr<Entry>> entries_;
-  NodeLayout default_layout_ = NodeLayout::kSoa;  // guarded by mu_
 };
 
 }  // namespace treeserver

@@ -80,8 +80,7 @@ void InferenceServer::Start() {
           body += "{\"name\":\"" + m.name +
                   "\",\"version\":" + std::to_string(m.version) +
                   ",\"num_versions\":" + std::to_string(m.num_versions) +
-                  ",\"kind\":\"" + ModelKindName(m.kind) +
-                  "\",\"layout\":\"" + NodeLayoutName(m.layout) + "\"}";
+                  ",\"kind\":\"" + ModelKindName(m.kind) + "\"}";
         }
       }
       body += "]}\n";

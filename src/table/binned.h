@@ -49,7 +49,7 @@ class BinnedColumn {
     return wide_ ? codes16_[row] : codes8_[row];
   }
 
-  /// Raw code arrays for the SIMD kernels and the quantized serving
+  /// Raw code arrays for the histogram builds and the quantized serving
   /// layout: exactly one is non-null, matching wide().
   const uint8_t* codes8_data() const {
     return wide_ ? nullptr : codes8_.data();

@@ -1,13 +1,9 @@
 #include "tree/hist.h"
 
-#include <algorithm>
 #include <limits>
-#include <type_traits>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/simd.h"
-#include "tree/hist_kernels.h"
 
 namespace treeserver {
 
@@ -25,54 +21,36 @@ Counter* SubtractionsCounter() {
   return c;
 }
 
-/// Runs one fused chunk of <= kFuseWidth same-width classification
-/// columns with the active vector kernel, or the scalar twins when no
-/// vector kernel applies. Either path yields bit-identical counts.
+/// Adds one column's rows into caller-zeroed class counts (slots * c,
+/// bin-major). `rows` == nullptr means the identity mapping [0, n);
+/// codes and labels are indexed by row id, not by position in `rows`.
 template <typename Code>
-void RunClsChunk(SimdLevel level, const Code* const* codes, size_t m,
-                 const int32_t* labels, const uint32_t* rows, size_t n, int c,
-                 int64_t* const* counts, bool fuse_ok) {
-  if (fuse_ok) {
-#if TS_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
-    if (level == SimdLevel::kAvx2) {
-      histk::ClsFusedAvx2(codes, m, labels, rows, n, c, counts);
-      return;
+void AccumulateCls(const Code* codes, const int32_t* labels,
+                   const uint32_t* rows, size_t n, int c, int64_t* counts) {
+  if (rows == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      counts[static_cast<size_t>(codes[i]) * c + labels[i]]++;
     }
-#endif
-#if TS_SIMD_ENABLED && defined(__aarch64__)
-    if (level == SimdLevel::kNeon) {
-      histk::ClsFusedNeon(codes, m, labels, rows, n, c, counts);
-      return;
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = rows[i];
+      counts[static_cast<size_t>(codes[row]) * c + labels[row]]++;
     }
-#endif
-  }
-  (void)level;
-  for (size_t k = 0; k < m; ++k) {
-    histk::ClsScalar(codes[k], labels, rows, n, c, counts[k]);
   }
 }
 
+/// Regression twin: one accumulator per bin, fed in ascending position
+/// order, so the double sums are reproducible bit for bit.
 template <typename Code>
-void RunRegChunk(SimdLevel level, const Code* const* codes, size_t m,
-                 const double* y, const uint32_t* rows, size_t n,
-                 const int* slots, HistRegBin* const* bins, bool fuse_ok) {
-  if (fuse_ok) {
-#if TS_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
-    if (level == SimdLevel::kAvx2) {
-      histk::RegFusedAvx2(codes, m, y, rows, n, slots, bins);
-      return;
-    }
-#endif
-#if TS_SIMD_ENABLED && defined(__aarch64__)
-    if (level == SimdLevel::kNeon) {
-      histk::RegFusedNeon(codes, m, y, rows, n, slots, bins);
-      return;
-    }
-#endif
-  }
-  (void)level;
-  for (size_t k = 0; k < m; ++k) {
-    histk::RegScalar(codes[k], y, rows, n, bins[k]);
+void AccumulateReg(const Code* codes, const double* y, const uint32_t* rows,
+                   size_t n, HistRegBin* bins) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
+    HistRegBin& rb = bins[codes[row]];
+    const double v = y[row];
+    ++rb.n;
+    rb.sum += v;
+    rb.sum_sq += v * v;
   }
 }
 
@@ -92,17 +70,11 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
                               const Column& target, const SplitContext& ctx,
                               const uint32_t* rows, size_t n,
                               NodeHistogram* out) {
-  const SimdLevel level = ActiveSimdLevel();
   const bool cls = ctx.kind == TaskKind::kClassification;
   const int c = cls ? ctx.num_classes : 0;
   const int32_t* labels = cls ? target.categorical_codes().data() : nullptr;
   const double* y = cls ? nullptr : target.numeric_values().data();
 
-  // Shape the outputs and group binned columns by code width; the
-  // fused kernels want homogeneous pointer types per pass.
-  std::vector<size_t> narrow;
-  std::vector<size_t> wide;
-  narrow.reserve(num_cols);
   for (size_t i = 0; i < num_cols; ++i) {
     out[i] = NodeHistogram();
     const BinnedColumn* bc = cols[i];
@@ -113,63 +85,20 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
     if (cls) {
       h.num_classes_ = c;
       h.cls_.assign(static_cast<size_t>(h.slots_) * c, 0);
+      if (bc->wide()) {
+        AccumulateCls(bc->codes16_data(), labels, rows, n, c, h.cls_.data());
+      } else {
+        AccumulateCls(bc->codes8_data(), labels, rows, n, c, h.cls_.data());
+      }
     } else {
       h.reg_.assign(h.slots_, HistRegBin{});
-    }
-    (bc->wide() ? wide : narrow).push_back(i);
-  }
-
-  // Tiny nodes can't amortize vector setup/scratch; take the scalar
-  // twins (same bits either way).
-  const bool vec = level != SimdLevel::kScalar && n >= histk::kFusedMinRows;
-
-  auto run_group = [&](auto code_tag, const std::vector<size_t>& group) {
-    using Code = decltype(code_tag);
-    const size_t width = histk::kFuseWidth;
-    for (size_t g = 0; g < group.size(); g += width) {
-      const size_t m = std::min(width, group.size() - g);
-      const Code* codes[histk::kFuseWidth];
-      bool fuse_ok = vec;
-      if (cls) {
-        int64_t* counts[histk::kFuseWidth];
-        for (size_t k = 0; k < m; ++k) {
-          const BinnedColumn& bc = *cols[group[g + k]];
-          if constexpr (std::is_same_v<Code, uint8_t>) {
-            codes[k] = bc.codes8_data();
-          } else {
-            codes[k] = bc.codes16_data();
-          }
-          NodeHistogram& h = out[group[g + k]];
-          counts[k] = h.cls_.data();
-          // The vector kernel precomputes epi32 scatter indices.
-          if (h.cls_.size() >
-              static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-            fuse_ok = false;
-          }
-        }
-        RunClsChunk<Code>(level, codes, m, labels, rows, n, c, counts,
-                          fuse_ok);
+      if (bc->wide()) {
+        AccumulateReg(bc->codes16_data(), y, rows, n, h.reg_.data());
       } else {
-        HistRegBin* bins[histk::kFuseWidth];
-        int slots[histk::kFuseWidth];
-        for (size_t k = 0; k < m; ++k) {
-          const BinnedColumn& bc = *cols[group[g + k]];
-          if constexpr (std::is_same_v<Code, uint8_t>) {
-            codes[k] = bc.codes8_data();
-          } else {
-            codes[k] = bc.codes16_data();
-          }
-          NodeHistogram& h = out[group[g + k]];
-          bins[k] = h.reg_.data();
-          slots[k] = h.slots_;
-          if (h.slots_ > histk::kFusedRegMaxSlots) fuse_ok = false;
-        }
-        RunRegChunk<Code>(level, codes, m, y, rows, n, slots, bins, fuse_ok);
+        AccumulateReg(bc->codes8_data(), y, rows, n, h.reg_.data());
       }
     }
-  };
-  run_group(uint8_t{0}, narrow);
-  run_group(uint16_t{0}, wide);
+  }
 }
 
 NodeHistogram NodeHistogram::Subtract(const NodeHistogram& parent,

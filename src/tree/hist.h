@@ -11,8 +11,7 @@
 namespace treeserver {
 
 /// One regression histogram bin: row count plus target sum and sum of
-/// squares. Namespace-scope (not nested) so the SIMD kernels in
-/// tree/hist_kernels.h can fill arrays of them directly.
+/// squares.
 struct HistRegBin {
   int64_t n = 0;
   double sum = 0.0;
@@ -40,12 +39,9 @@ struct HistRegBin {
 /// re-associate, so derivation is only used where the choice of which
 /// sibling to derive is itself deterministic (inside TrainTree).
 ///
-/// Accumulation runs through the runtime-dispatched kernels of
-/// tree/hist_kernels.h (scalar / AVX2 / NEON, common/simd.h). Every
-/// kernel preserves the per-bin accumulation order of the scalar
-/// reference, so the built histograms are bit-identical across levels
-/// — integer class counts commute outright, and the vectorized
-/// regression kernel keeps one accumulator per bin fed in row order.
+/// Accumulation is one scalar loop per column. Regression keeps one
+/// accumulator per bin fed in row order, so the double sums (and the
+/// trees grown from them) are reproducible bit for bit.
 class NodeHistogram {
  public:
   NodeHistogram() = default;
@@ -55,13 +51,11 @@ class NodeHistogram {
                              const SplitContext& ctx, const uint32_t* rows,
                              size_t n);
 
-  /// Builds the histograms of several columns of the same node in one
-  /// fused pass: the target is read once per row and up to four
-  /// same-width columns accumulate together, which is where the SIMD
-  /// kernels earn their keep. `cols[i]` may be nullptr (categorical /
+  /// Builds the histograms of several columns of the same node, one
+  /// column at a time. `cols[i]` may be nullptr (categorical /
   /// unbinned column): `out[i]` stays empty. `out` must hold
-  /// `num_cols` default-constructed entries. Results are bit-identical
-  /// to per-column Build() calls at every SIMD level.
+  /// `num_cols` entries. Results are bit-identical to per-column
+  /// Build() calls.
   static void BuildMany(const BinnedColumn* const* cols, size_t num_cols,
                         const Column& target, const SplitContext& ctx,
                         const uint32_t* rows, size_t n, NodeHistogram* out);
@@ -86,8 +80,7 @@ class NodeHistogram {
   /// Payload bytes, for task memory accounting.
   size_t ByteSize() const;
 
-  /// Raw payloads, for the scalar-vs-SIMD parity tests (bit-exact
-  /// comparisons) and kernel plumbing. Classification: slots() *
+  /// Raw payloads, for the bit-exact parity tests. Classification: slots() *
   /// num_classes entries, bin-major. Regression: slots() entries.
   const int64_t* cls_data() const { return cls_.data(); }
   size_t cls_size() const { return cls_.size(); }

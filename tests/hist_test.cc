@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -451,6 +452,150 @@ TEST(HistEngineParityTest, RegressionForestMatchesSerialWithIntegerTargets) {
   ForestModel reference = TrainForestSerial(t, spec, 2);
   ASSERT_EQ(forest.num_trees(), static_cast<size_t>(spec.num_trees));
   EXPECT_EQ(SerializeForestBytes(forest), SerializeForestBytes(reference));
+}
+
+
+// -------------------------------------------------------------------
+// Histogram fuzz: BuildMany vs a naive per-row accumulation, bit for
+// bit, over both code widths, populated missing bins, empty bins,
+// ragged identity and scattered row lists, and several columns per
+// call.
+// -------------------------------------------------------------------
+
+/// Regression table with CONTINUOUS targets: real-valued sums make any
+/// reassociation of the per-bin accumulation visible as a bit
+/// difference.
+DataTable ContinuousRegTable(size_t rows, int num_cols, int distinct,
+                             uint64_t seed, double missing_fraction) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> feats(num_cols, std::vector<double>(rows));
+  std::vector<double> y(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (int c = 0; c < num_cols; ++c) {
+      feats[c][r] = rng.Bernoulli(missing_fraction)
+                        ? MissingNumeric()
+                        : static_cast<double>(rng.Uniform(distinct));
+    }
+    y[r] = rng.Normal() * 3.7 + rng.UniformDouble();
+  }
+  std::vector<ColumnMeta> metas;
+  std::vector<ColumnPtr> cols;
+  for (int c = 0; c < num_cols; ++c) {
+    std::string name = "x" + std::to_string(c);
+    metas.push_back({name, DataType::kNumeric, 0});
+    cols.push_back(Column::Numeric(name, std::move(feats[c])));
+  }
+  metas.push_back({"y", DataType::kNumeric, 0});
+  cols.push_back(Column::Numeric("y", std::move(y)));
+  auto t = DataTable::Make(Schema(metas, num_cols, TaskKind::kRegression),
+                           std::move(cols));
+  EXPECT_TRUE(t.ok());
+  return std::move(t).value();
+}
+
+/// A sorted scattered row subset of size m (row ids, not positions).
+std::vector<uint32_t> ScatteredRows(size_t n, size_t m, Rng* rng) {
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+  rng->Shuffle(&rows);
+  rows.resize(std::min(m, n));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The reference: one row at a time through the column accessors, in
+/// position order, one accumulator per bin.
+void ExpectMatchesNaive(const NodeHistogram& h, const BinnedColumn& bc,
+                        const Column& target, const SplitContext& ctx,
+                        const uint32_t* rows, size_t n,
+                        const std::string& what) {
+  const size_t slots = static_cast<size_t>(bc.missing_code()) + 1;
+  ASSERT_EQ(h.slots(), static_cast<int>(slots)) << what;
+  if (ctx.kind == TaskKind::kClassification) {
+    const size_t c = static_cast<size_t>(ctx.num_classes);
+    std::vector<int64_t> counts(slots * c, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = rows != nullptr ? rows[i] : i;
+      counts[bc.code_at(row) * c + target.category_at(row)]++;
+    }
+    ASSERT_EQ(h.cls_size(), counts.size()) << what;
+    EXPECT_EQ(std::memcmp(h.cls_data(), counts.data(),
+                          counts.size() * sizeof(int64_t)),
+              0)
+        << what << ": class counts differ";
+  } else {
+    std::vector<HistRegBin> bins(slots);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t row = rows != nullptr ? rows[i] : i;
+      HistRegBin& b = bins[bc.code_at(row)];
+      const double y = target.numeric_at(row);
+      ++b.n;
+      b.sum += y;
+      b.sum_sq += y * y;
+    }
+    ASSERT_EQ(h.reg_size(), bins.size()) << what;
+    EXPECT_EQ(std::memcmp(h.reg_data(), bins.data(),
+                          bins.size() * sizeof(HistRegBin)),
+              0)
+        << what << ": regression bins differ";
+  }
+}
+
+void FuzzHistograms(TaskKind kind) {
+  const size_t n = 3000;
+  const int num_cols = 5;
+  const bool cls = kind == TaskKind::kClassification;
+  Rng rng(cls ? 101 : 202);
+  // distinct = 9 gives uint8 codes, 700 uint16; max_bins = 900 >
+  // distinct leaves empty bins, and 15% missing cells populate the
+  // missing bin.
+  for (int distinct : {9, 700}) {
+    DataTable t = cls ? GridClsTable(n, num_cols, distinct, 4, 11 + distinct,
+                                     /*missing_fraction=*/0.15)
+                      : ContinuousRegTable(n, num_cols, distinct,
+                                           13 + distinct,
+                                           /*missing_fraction=*/0.15);
+    const SplitContext ctx = cls ? ClsCtx(4) : RegCtx();
+    std::vector<std::shared_ptr<const BinnedColumn>> owned;
+    std::vector<const BinnedColumn*> cols;
+    for (int c = 0; c < num_cols; ++c) {
+      owned.push_back(BinnedColumn::Build(*t.column(c), 900));
+      cols.push_back(owned.back().get());
+    }
+    ASSERT_EQ(cols[0]->wide(), distinct > 255);
+    for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129},
+                     size_t{1000}, n}) {
+      for (bool scattered : {false, true}) {
+        std::vector<uint32_t> rows;
+        const uint32_t* rows_ptr = nullptr;
+        if (scattered) {
+          rows = ScatteredRows(n, m, &rng);
+          rows_ptr = rows.data();
+        }
+        const size_t take = scattered ? rows.size() : std::min(m, n);
+        std::vector<NodeHistogram> got(cols.size());
+        NodeHistogram::BuildMany(cols.data(), cols.size(), *t.target(), ctx,
+                                 rows_ptr, take, got.data());
+        for (int c = 0; c < num_cols; ++c) {
+          const std::string what =
+              "distinct=" + std::to_string(distinct) +
+              " n=" + std::to_string(take) +
+              (scattered ? " scattered" : " identity") +
+              " col=" + std::to_string(c);
+          ExpectMatchesNaive(got[c], *cols[c], *t.target(), ctx, rows_ptr,
+                             take, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(HistFuzzTest, ClassificationHistogramsMatchNaiveAccumulation) {
+  FuzzHistograms(TaskKind::kClassification);
+}
+
+TEST(HistFuzzTest, RegressionHistogramsMatchNaiveAccumulation) {
+  FuzzHistograms(TaskKind::kRegression);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,7 +15,9 @@
 #include "serve/model_io.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "table/binned.h"
 #include "table/datasets.h"
+#include "tree/trainer.h"
 
 namespace treeserver {
 namespace {
@@ -734,6 +737,198 @@ TEST(InferenceServerTest, StopDrainsQueuedWork) {
   late.model = "m";
   late.table = table;
   EXPECT_FALSE(server.Predict(std::move(late)).get().ok());
+}
+
+
+// -------------------------------------------------------------------
+// Node layouts: soa and quantized serve byte-identical predictions over
+// ragged scattered batches, depth cutoffs and missing values.
+// -------------------------------------------------------------------
+
+std::vector<uint32_t> ScatteredRows(size_t n, size_t m, Rng* rng) {
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+  rng->Shuffle(&rows);
+  rows.resize(std::min(m, n));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+CompiledForest CompileFuzzForest(const DataTable& table, int trees,
+                                 bool sqrt_columns) {
+  ForestJobSpec spec;
+  spec.num_trees = trees;
+  spec.tree.max_depth = 9;
+  spec.sqrt_columns = sqrt_columns;
+  return CompiledForest::Compile(TrainForestSerial(table, spec, 2));
+}
+
+/// Predictions of `compiled` in its current layout.
+struct Scored {
+  std::vector<int32_t> labels;
+  std::vector<float> pmf;
+  std::vector<double> values;
+};
+
+Scored Score(const CompiledForest& compiled, const DataTable& table,
+             const std::vector<uint32_t>& rows, int max_depth) {
+  Scored out;
+  const size_t n = rows.size();
+  if (compiled.is_classification()) {
+    out.labels.resize(n);
+    out.pmf.resize(n * static_cast<size_t>(compiled.num_classes()));
+    compiled.PredictLabel(table, rows.data(), n, max_depth, out.labels.data());
+    compiled.PredictPmf(table, rows.data(), n, max_depth, out.pmf.data());
+  } else {
+    out.values.resize(n);
+    compiled.PredictValue(table, rows.data(), n, max_depth,
+                          out.values.data());
+  }
+  return out;
+}
+
+/// The raw bytes of `v`, so float comparisons are bit-exact.
+template <typename T>
+std::string Bytes(const std::vector<T>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(T));
+}
+
+void ExpectByteIdentical(const Scored& got, const Scored& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.labels, want.labels) << what;
+  EXPECT_TRUE(Bytes(got.pmf) == Bytes(want.pmf))
+      << what << ": PMFs not byte-identical";
+  EXPECT_TRUE(Bytes(got.values) == Bytes(want.values))
+      << what << ": values not byte-identical";
+}
+
+void CheckLayoutParity(const DataTable& table, CompiledForest* compiled) {
+  const size_t n = table.num_rows();
+  auto bins = BinnedTable::Build(table, 65535);
+  Rng rng(31);
+  for (int max_depth : {-1, 0, 3}) {
+    for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}, n}) {
+      const std::vector<uint32_t> rows = ScatteredRows(n, m, &rng);
+      compiled->Repack(NodeLayout::kSoa);
+      const Scored ref = Score(*compiled, table, rows, max_depth);
+      // One bin per distinct value makes every exact threshold a bin
+      // upper, so quantization must never fall back.
+      ASSERT_EQ(compiled->Repack(NodeLayout::kQuantized, bins),
+                NodeLayout::kQuantized);
+      ExpectByteIdentical(Score(*compiled, table, rows, max_depth), ref,
+                          "quantized depth=" + std::to_string(max_depth) +
+                              " m=" + std::to_string(rows.size()));
+    }
+  }
+}
+
+TEST(LayoutParityTest, ClassificationSoaAndQuantizedByteIdentical) {
+  DatasetProfile profile;
+  profile.name = "layout_fuzz_cls";
+  profile.rows = 2500;
+  profile.num_numeric = 5;
+  profile.num_categorical = 2;
+  profile.num_classes = 4;
+  profile.missing_fraction = 0.08;
+  DataTable table = GenerateTable(profile, 17);
+  CompiledForest compiled = CompileFuzzForest(table, 6, /*sqrt_columns=*/true);
+  CheckLayoutParity(table, &compiled);
+}
+
+TEST(LayoutParityTest, RegressionSoaAndQuantizedByteIdentical) {
+  DatasetProfile profile;
+  profile.name = "layout_fuzz_reg";
+  profile.rows = 2500;
+  profile.num_numeric = 6;
+  profile.num_categorical = 1;
+  profile.num_classes = 0;  // regression
+  profile.missing_fraction = 0.08;
+  DataTable table = GenerateTable(profile, 19);
+  CompiledForest compiled = CompileFuzzForest(table, 5, /*sqrt_columns=*/true);
+  CheckLayoutParity(table, &compiled);
+}
+
+TEST(LayoutParityTest, WideCategoricalColumnsAcrossLayouts) {
+  // 100 categories force >64-slot route tables in the quantized layout,
+  // with missing categories and (rare) codes the training split never
+  // saw.
+  const size_t n = 2000;
+  const int card = 100;
+  Rng rng(59);
+  std::vector<int32_t> cat(n);
+  std::vector<double> num(n);
+  std::vector<int32_t> y(n);
+  for (size_t r = 0; r < n; ++r) {
+    cat[r] = rng.Bernoulli(0.05)
+                 ? kMissingCategory
+                 : static_cast<int32_t>(rng.Uniform(card));
+    num[r] = rng.Bernoulli(0.05) ? MissingNumeric()
+                                 : static_cast<double>(rng.Uniform(37));
+    const int32_t base = cat[r] < 0 ? 0 : (cat[r] / 25) % 3;
+    y[r] = rng.Bernoulli(0.1) ? static_cast<int32_t>(rng.Uniform(3)) : base;
+  }
+  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card},
+                                   {"x", DataType::kNumeric, 0},
+                                   {"y", DataType::kCategorical, 3}};
+  std::vector<ColumnPtr> cols = {Column::Categorical("c", std::move(cat), card),
+                                 Column::Numeric("x", std::move(num)),
+                                 Column::Categorical("y", std::move(y), 3)};
+  auto made = DataTable::Make(Schema(metas, 2, TaskKind::kClassification),
+                              std::move(cols));
+  ASSERT_TRUE(made.ok());
+  DataTable table = std::move(made).value();
+  CompiledForest compiled = CompileFuzzForest(table, 4, /*sqrt_columns=*/false);
+  CheckLayoutParity(table, &compiled);
+}
+
+/// A forest of two trees over `table`: tree 0 splits only on
+/// categorical columns (its route tables need no numeric bins, so it
+/// always quantizes), tree 1 only on numeric columns.
+ForestModel CategoricalThenNumericForest(const DataTable& table) {
+  std::vector<int> categorical;
+  std::vector<int> numeric;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (c == table.schema().target_index()) continue;
+    (table.schema().column(c).type == DataType::kCategorical ? categorical
+                                                             : numeric)
+        .push_back(c);
+  }
+  TreeConfig cfg;
+  cfg.max_depth = 8;
+  if (table.schema().task_kind() == TaskKind::kRegression) {
+    cfg.impurity = Impurity::kVariance;
+  }
+  ForestModel forest(table.schema().task_kind(),
+                     table.schema().num_classes());
+  forest.AddTree(TrainTreeOnTable(table, categorical, cfg));
+  forest.AddTree(TrainTreeOnTable(table, numeric, cfg));
+  return forest;
+}
+
+void CheckQuantizedFallback(const DataTable& table) {
+  const CompiledForest soa =
+      CompiledForest::Compile(CategoricalThenNumericForest(table));
+  CompiledForest mixed = soa;
+  // Four bins over hundreds of distinct values: the numeric tree's
+  // exact thresholds fall between bin uppers.
+  const NodeLayout got =
+      mixed.Repack(NodeLayout::kQuantized, BinnedTable::Build(table, 4));
+  EXPECT_EQ(got, NodeLayout::kSoa);
+  EXPECT_EQ(mixed.layout(), NodeLayout::kSoa);
+  EXPECT_EQ(mixed.tree(0).layout(), NodeLayout::kQuantized);
+  EXPECT_EQ(mixed.tree(1).layout(), NodeLayout::kSoa);
+  const std::vector<uint32_t> rows = AllRows(table);
+  for (int max_depth : {-1, 0, 3}) {
+    ExpectByteIdentical(Score(mixed, table, rows, max_depth),
+                        Score(soa, table, rows, max_depth),
+                        "fallback depth=" + std::to_string(max_depth));
+  }
+}
+
+TEST(LayoutParityTest, QuantizedFallsBackToSoaPerTree) {
+  CheckQuantizedFallback(MixedData(3, 1500, 43));
+  CheckQuantizedFallback(MixedData(0, 1500, 47));
 }
 
 }  // namespace

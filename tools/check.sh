@@ -76,19 +76,13 @@ echo "== ubsan: configure + build =="
 cmake -B build-ubsan -S . -DTS_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j
 
-echo "== ubsan: split/histogram/simd kernels + packed layouts + trainer + forest =="
-# Simd*/Packed* add the fused vector kernels' gather/offset arithmetic
-# and the bit-packed node decoding (20-bit fields, route-table clamps)
-# on top of the original split/trainer coverage.
+echo "== ubsan: split/histogram kernels + quantized layout + trainer + forest =="
+# HistFuzz* (under Hist*) drives the histogram index arithmetic over
+# both code widths; LayoutParity* adds the bit-packed quantized node
+# decoding (20-bit fields, route-table clamps) on top of the original
+# split/trainer coverage.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ./build-ubsan/tests/treeserver_tests \
-  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:Simd*:Packed*'
-
-echo "== scalar-only: configure + build + ctest (-DTS_SIMD=OFF) =="
-# The parity suites must also pass with every vector translation unit
-# stripped from the build — the scalar twins ARE the reference.
-cmake -B build-scalar -S . -DTS_SIMD=OFF >/dev/null
-cmake --build build-scalar -j
-(cd build-scalar && ctest --output-on-failure -j"$(nproc)")
+  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:HistFuzz*:LayoutParity*'
 
 echo "== all checks passed =="

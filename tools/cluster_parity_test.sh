@@ -8,7 +8,9 @@
 #  2. SIGKILL-ing one worker mid-job trips dead-peer detection and the
 #     job still completes — with the same bytes — via the k-replica
 #     recovery path;
-#  3. observability: the same cluster with tracing + HTTP endpoints on
+#  3. the in-process reference run with --trace writes a one-process
+#     Chrome trace that passes treeserver_top --validate-trace;
+#  4. observability: the same cluster with tracing + HTTP endpoints on
 #     serves /metrics + /statusz from every rank mid-job, the master
 #     writes a merged Chrome trace with one lane per rank, and the
 #     forest bytes are still identical (observability must not perturb
@@ -148,6 +150,23 @@ echo "== in-process reference =="
 "$NODE" --mode=inproc "${FLAGS[@]}" --out="$TMP/ref.bin"
 [[ -s "$TMP/ref.bin" ]] || { echo "FAIL: empty reference forest" >&2; exit 1; }
 
+echo "== in-process reference with --trace =="
+"$NODE" --mode=inproc "${FLAGS[@]}" --trace=1 \
+  --trace-out="$TMP/inproc_trace.json" --out="$TMP/inproc_traced.bin"
+[[ -s "$TMP/inproc_trace.json" ]] || {
+  echo "FAIL: --mode=inproc wrote no trace" >&2
+  exit 1
+}
+"$TOP" --validate-trace="$TMP/inproc_trace.json" --expect-ranks=0 || {
+  echo "FAIL: in-process trace invalid" >&2
+  exit 1
+}
+cmp "$TMP/ref.bin" "$TMP/inproc_traced.bin" || {
+  echo "FAIL: in-process forest changed with tracing enabled" >&2
+  exit 1
+}
+echo "PASS: in-process trace written and valid, training bytes unperturbed"
+
 echo "== 4-worker TCP cluster =="
 run_cluster "$TMP/tcp.bin" "" $((21000 + RANDOM % 10000))
 cmp "$TMP/ref.bin" "$TMP/tcp.bin" || {
@@ -169,8 +188,10 @@ cmp "$TMP/ref.bin" "$TMP/crash.bin" || {
 echo "PASS: job survived SIGKILL'd worker with identical output"
 
 echo "== observability: endpoints on every rank + merged trace =="
+# HTTP ports stay below Linux's ephemeral range (32768+), where
+# concurrently running tests hold client and listen ports.
 run_cluster "$TMP/obs.bin" "" $((21000 + RANDOM % 10000)) \
-  $((31000 + RANDOM % 10000))
+  $((11000 + RANDOM % 10000))
 [[ -s "$TMP/trace.json" ]] || {
   echo "FAIL: master wrote no merged trace" >&2
   exit 1

@@ -155,7 +155,8 @@ void Usage() {
       "                            0 ephemeral\n"
       "  --trace=1                 enable the process tracer\n"
       "  --trace-out=FILE          master: collect every rank's trace and\n"
-      "                            write one merged Chrome trace JSON\n"
+      "                            write one merged Chrome trace JSON;\n"
+      "                            inproc: write the one-process trace\n"
       "  --watchdog-period=MS      slow-task watchdog cadence (master)\n"
       "  --debug-slow-worker=W --debug-slow-task-ms=MS\n"
       "                            delay every task on worker W (tests)\n");
@@ -448,11 +449,23 @@ void CollectAndWriteTrace(const NodeOptions& opt, Master* master,
 }
 
 int RunInproc(const NodeOptions& opt) {
+  if (opt.trace) Tracer::Global().Enable();
   TreeServerCluster cluster(MakeTable(opt), opt.engine);
   ForestModel model = cluster.TrainForest(MakeJob(opt));
   if (!opt.out.empty() && !WriteForest(model, opt.out)) {
     std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
     return 1;
+  }
+  // Master and workers share this process's tracer, so its one-lane
+  // trace is already the whole job.
+  if (opt.trace && !opt.trace_out.empty()) {
+    Status st = Tracer::Global().WriteChromeTrace(opt.trace_out);
+    if (!st.ok()) {
+      std::fprintf(stderr, "inproc: cannot write trace: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "inproc: trace -> %s\n", opt.trace_out.c_str());
   }
   std::fprintf(stderr, "inproc: trained %zu trees\n", model.num_trees());
   return 0;
