@@ -6,6 +6,7 @@
 #include <map>
 #include <thread>
 
+#include "common/file_io.h"
 #include "common/serial.h"
 
 namespace treeserver {
@@ -52,17 +53,6 @@ Status WriteFileBytes(const std::string& path, const std::string& bytes) {
   if (!out) return Status::IOError("cannot write " + path);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) return Status::IOError("short write to " + path);
-  return Status::OK();
-}
-
-Status ReadFileBytes(const std::string& path, std::string* bytes) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::streamsize size = in.tellg();
-  in.seekg(0);
-  bytes->resize(static_cast<size_t>(size));
-  in.read(bytes->data(), size);
-  if (!in) return Status::IOError("short read from " + path);
   return Status::OK();
 }
 
@@ -151,7 +141,7 @@ Result<LocalDfs::Manifest> LocalDfs::ReadManifest(
   std::string bytes;
   ChargeOpen();
   TS_RETURN_IF_ERROR(
-      ReadFileBytes(DatasetDir(dataset) + "/" + kManifestFile, &bytes));
+      ReadFile(DatasetDir(dataset) + "/" + kManifestFile, &bytes));
   BinaryReader r(bytes);
   Manifest manifest;
   TS_RETURN_IF_ERROR(ReadSchemaBody(&r, &manifest.schema));
@@ -204,7 +194,7 @@ Result<std::vector<ColumnPtr>> LocalDfs::ReadColumns(
       if (it == file_cache.end()) {
         std::string bytes;
         ChargeOpen();
-        TS_RETURN_IF_ERROR(ReadFileBytes(GroupFile(dataset, cg, rg), &bytes));
+        TS_RETURN_IF_ERROR(ReadFile(GroupFile(dataset, cg, rg), &bytes));
         it = file_cache.emplace(key, std::move(bytes)).first;
       }
       BinaryReader r(it->second);
@@ -264,7 +254,7 @@ Result<DataTable> LocalDfs::ReadRows(const std::string& dataset,
     for (int cg = 0; cg < col_groups; ++cg) {
       std::string bytes;
       ChargeOpen();
-      TS_RETURN_IF_ERROR(ReadFileBytes(GroupFile(dataset, cg, rg), &bytes));
+      TS_RETURN_IF_ERROR(ReadFile(GroupFile(dataset, cg, rg), &bytes));
       BinaryReader r(bytes);
       const int col_begin = cg * layout.columns_per_group;
       const int col_end = std::min(m, col_begin + layout.columns_per_group);

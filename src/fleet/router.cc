@@ -4,6 +4,7 @@
 #include <chrono>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <sstream>
 
 #include "common/logging.h"
@@ -31,13 +32,13 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t HashString(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return Mix64(h);
+/// Push/rollback fan-outs give up after this long (partial results
+/// reported per replica).
+constexpr uint64_t kAdminTimeoutNs = 10ull * 1000 * 1000 * 1000;
+
+uint64_t RandomSeed64() {
+  std::random_device rd;
+  return (static_cast<uint64_t>(rd()) << 32) ^ rd();
 }
 
 /// Value of `key` in an HTTP query string ("a=b&c=d"), empty if absent.
@@ -78,36 +79,6 @@ Result<std::string> ForestBytesFromFile(const std::string& path) {
 
 }  // namespace
 
-CanaryDecision EvaluateCanaryDecision(const CanaryArmView& canary,
-                                      const CanaryArmView& baseline,
-                                      const CanaryBudgets& budgets) {
-  const auto error_rate = [](const CanaryArmView& v) {
-    return v.count == 0 ? 0.0
-                        : static_cast<double>(v.errors) /
-                              static_cast<double>(v.count);
-  };
-  // An error-budget breach rolls back immediately once the canary has
-  // any meaningful sample: waiting for min_requests would keep burning
-  // traffic on a model that is already visibly failing.
-  if (canary.count >= 10 &&
-      error_rate(canary) > error_rate(baseline) + budgets.max_error_excess) {
-    return CanaryDecision::kRollback;
-  }
-  if (canary.count < budgets.min_requests ||
-      baseline.count < budgets.min_requests) {
-    return CanaryDecision::kKeepRunning;
-  }
-  if (error_rate(canary) > error_rate(baseline) + budgets.max_error_excess) {
-    return CanaryDecision::kRollback;
-  }
-  if (baseline.p99_us > 0 &&
-      static_cast<double>(canary.p99_us) >
-          static_cast<double>(baseline.p99_us) * budgets.max_p99_ratio) {
-    return CanaryDecision::kRollback;
-  }
-  return CanaryDecision::kPromote;
-}
-
 FleetRouter::FleetRouter(Transport* transport, FleetRouterConfig config)
     : transport_(transport),
       config_(config),
@@ -120,19 +91,9 @@ FleetRouter::FleetRouter(Transport* transport, FleetRouterConfig config)
       corrupt_(metrics_.GetCounter("fleet.router.corrupt")),
       promotions_(metrics_.GetCounter("fleet.canary.promotions")),
       rollbacks_(metrics_.GetCounter("fleet.canary.rollbacks")),
-      latency_us_(metrics_.GetHistogram("fleet.latency_us")) {
+      latency_us_(metrics_.GetHistogram("fleet.latency_us")),
+      next_op_id_(RandomSeed64()) {
   replicas_.resize(transport_->num_workers());
-  // Static hash ring over all replicas; rotation is applied at lookup
-  // time (a returning replica reclaims its ring points, preserving
-  // stickiness across an outage).
-  const int vnodes = std::max(1, config_.vnodes);
-  for (int r = 0; r < transport_->num_workers(); ++r) {
-    for (int v = 0; v < vnodes; ++v) {
-      ring_.emplace_back(
-          Mix64(static_cast<uint64_t>(r) * 1000003ull + v), r);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
 }
 
 FleetRouter::~FleetRouter() { Stop(); }
@@ -166,9 +127,6 @@ void FleetRouter::Stop() {
   if (timer_thread_.joinable()) timer_thread_.join();
   if (reply_thread_.joinable()) reply_thread_.join();
 
-  // Fail everything still pending BEFORE joining the canary-op
-  // threads: they may be blocked on an admin future only this drain
-  // can now fulfill (the timer that enforced deadlines is gone).
   std::vector<Inflight> orphaned;
   std::vector<std::shared_ptr<AdminOp>> admin_orphaned;
   {
@@ -186,11 +144,6 @@ void FleetRouter::Stop() {
   for (auto& op : admin_orphaned) {
     op->promise.set_value(std::move(op->replies));
   }
-
-  for (auto& t : canary_ops_) {
-    if (t.joinable()) t.join();
-  }
-  canary_ops_.clear();
 }
 
 uint16_t FleetRouter::http_port() const {
@@ -246,38 +199,38 @@ int FleetRouter::ChooseReplicaLocked(const std::string& model,
     // new version for this model.
   }
 
-  const int avoid = canary_replica;  // -1 when no canary
-  int least = LeastLoadedLocked(exclude, avoid);
-  if (least == -1) {
-    // Nothing else eligible; a canaried model may still fall back to
-    // its canary replica rather than shed (version skew beats a 429
-    // when the canary is the last replica standing).
-    if (canary_replica != -1 && canary_replica != exclude &&
-        EligibleLocked(canary_replica, -2, -2)) {
-      return canary_replica;
-    }
-    return -1;
-  }
-
-  // Consistent-hash stickiness: first ring point >= hash(model) that
-  // is eligible.
-  const uint64_t h = HashString(model);
-  auto ring_it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(h, -1),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t step = 0; step < ring_.size(); ++step) {
-    if (ring_it == ring_.end()) ring_it = ring_.begin();
-    const int sticky = ring_it->second;
-    ++ring_it;
-    if (!EligibleLocked(sticky, exclude, avoid)) continue;
-    if (replicas_[sticky].outstanding <=
-        replicas_[least].outstanding +
-            static_cast<uint64_t>(std::max(0, config_.sticky_slack))) {
-      return sticky;
-    }
-    break;  // sticky is overloaded: fall to least-loaded
+  const int least = LeastLoadedLocked(exclude, canary_replica);
+  // Nothing else eligible: a canaried model may still fall back to its
+  // canary replica rather than shed (version skew beats a 429 when the
+  // canary is the last replica standing).
+  if (least == -1 && canary_replica != -1 && canary_replica != exclude &&
+      EligibleLocked(canary_replica, -2, -2)) {
+    return canary_replica;
   }
   return least;
+}
+
+bool FleetRouter::RedispatchLocked(uint64_t id, Inflight* inf,
+                                   bool allow_same, Counter* counter,
+                                   uint64_t now, std::vector<Send>* sends) {
+  Arm arm = inf->arm;
+  int next = ChooseReplicaLocked(inf->model, id, /*exclude=*/inf->replica,
+                                 &arm);
+  if (next == -1 && allow_same && inf->replica >= 0 &&
+      EligibleLocked(inf->replica, -2, -2)) {
+    next = inf->replica;  // only choice: same replica again
+    arm = inf->arm;
+  }
+  if (next == -1) return false;
+  DecOutstandingLocked(inf->replica);
+  replicas_[next].outstanding++;
+  inf->replica = next;
+  inf->arm = arm;
+  inf->last_send_ns = now;
+  counter->Inc();
+  sends->push_back({ChannelKind::kTask, next,
+                    static_cast<uint32_t>(FleetMsg::kPredict), inf->payload});
+  return true;
 }
 
 std::future<Result<FleetBatchResult>> FleetRouter::PredictRows(
@@ -439,22 +392,10 @@ void FleetRouter::HandlePredictReply(const Message& msg,
       inflight_.erase(it);
     } else if (code == StatusCode::kUnavailable) {
       // Replica-side backpressure: immediately try another replica;
-      // the deadline is the overall bound.
-      Arm arm = inf.arm;
-      const int next = ChooseReplicaLocked(inf.model, reply.request_id,
-                                           /*exclude=*/inf.replica, &arm);
-      if (next != -1) {
-        DecOutstandingLocked(inf.replica);
-        replicas_[next].outstanding++;
-        inf.replica = next;
-        inf.arm = arm;
-        inf.last_send_ns = NowNanos();
-        retransmits_->Inc();
-        sends->push_back({ChannelKind::kTask, next,
-                          static_cast<uint32_t>(FleetMsg::kPredict),
-                          inf.payload});
-      }
-      // else: leave in flight; the timer retries or deadline-sheds.
+      // the deadline is the overall bound. When none is eligible the
+      // request stays in flight; the timer retries or deadline-sheds.
+      RedispatchLocked(reply.request_id, &inf, /*allow_same=*/false,
+                       retransmits_, NowNanos(), sends);
     } else {
       // Hard error (unknown model, bad batch): not retryable.
       RecordArmLocked(inf.model, inf.arm, /*error=*/true, latency_us);
@@ -547,7 +488,7 @@ void FleetRouter::HandleTraceReply(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------
-// Timer thread: health, deadlines, retransmits, canary auto-decisions.
+// Timer thread: health, deadlines, retransmits, admin retries.
 // ---------------------------------------------------------------------
 
 void FleetRouter::TimerLoop() {
@@ -579,7 +520,6 @@ void FleetRouter::TimerTick(
   const uint64_t retry_ns =
       static_cast<uint64_t>(std::max(1, config_.retry_period_ms)) * 1000000;
 
-  std::vector<std::pair<std::string, CanaryDecision>> decisions;
   std::vector<std::shared_ptr<AdminOp>> admin_done;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -621,25 +561,9 @@ void FleetRouter::TimerTick(
         continue;
       }
       if (now - inf.last_send_ns >= retry_ns) {
-        Arm arm = inf.arm;
         // Rotate away from the unresponsive replica when possible.
-        int next = ChooseReplicaLocked(inf.model, it->first,
-                                       /*exclude=*/inf.replica, &arm);
-        if (next == -1 && EligibleLocked(inf.replica, -2, -2)) {
-          next = inf.replica;  // only choice: same replica again
-          arm = inf.arm;
-        }
-        if (next != -1) {
-          DecOutstandingLocked(inf.replica);
-          replicas_[next].outstanding++;
-          inf.replica = next;
-          inf.arm = arm;
-          inf.last_send_ns = now;
-          retransmits_->Inc();
-          sends->push_back({ChannelKind::kTask, next,
-                            static_cast<uint32_t>(FleetMsg::kPredict),
-                            inf.payload});
-        }
+        RedispatchLocked(it->first, &inf, /*allow_same=*/true, retransmits_,
+                         now, sends);
       }
       ++it;
     }
@@ -661,41 +585,9 @@ void FleetRouter::TimerTick(
       }
       ++it;
     }
-
-    // Canary auto-decisions.
-    if (config_.canary_auto) {
-      for (auto& [model, canary] : canaries_) {
-        if (!canary.active || canary.deciding) continue;
-        CanaryBudgets budgets;
-        budgets.min_requests = config_.canary_min_requests;
-        budgets.max_error_excess = config_.canary_max_error_excess;
-        budgets.max_p99_ratio = config_.canary_max_p99_ratio;
-        const CanaryDecision d = EvaluateCanaryDecision(
-            canary.canary.View(), canary.baseline.View(), budgets);
-        if (d != CanaryDecision::kKeepRunning) {
-          canary.deciding = true;
-          decisions.emplace_back(model, d);
-        }
-      }
-    }
   }
 
   for (auto& op : admin_done) op->promise.set_value(std::move(op->replies));
-
-  // Promote/Rollback block on admin fan-outs, so they run on their own
-  // threads (joined at Stop), never on the timer thread.
-  for (auto& [model, decision] : decisions) {
-    std::lock_guard<std::mutex> lock(mu_);
-    canary_ops_.emplace_back([this, model = model, decision] {
-      if (decision == CanaryDecision::kPromote) {
-        TS_LOG(kInfo) << "fleet: auto-promoting canary of " << model;
-        Promote(model);
-      } else {
-        TS_LOG(kWarn) << "fleet: auto-rolling-back canary of " << model;
-        Rollback(model);
-      }
-    });
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -716,9 +608,7 @@ Result<std::map<int, FleetAdminReplyMsg>> FleetRouter::RunAdminOp(
   op->send_type = send_type;
   op->payload = std::move(payload);
   op->remaining = targets;
-  op->deadline_ns =
-      now + static_cast<uint64_t>(std::max(1, config_.admin_timeout_ms)) *
-                1000000;
+  op->deadline_ns = now + kAdminTimeoutNs;
   op->last_send_ns = now;
 
   std::vector<Send> sends;
@@ -760,7 +650,7 @@ Status FleetRouter::Push(const std::string& model,
   uint64_t op_id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    op_id = next_id_++;
+    op_id = next_op_id_++;
     for (int r = 0; r < static_cast<int>(replicas_.size()); ++r) {
       if (replicas_[r].alive) targets.insert(r);
     }
@@ -797,7 +687,7 @@ Result<int> FleetRouter::PushCanary(const std::string& model,
     if (replica < 0) {
       return Status::Unavailable("no replica in rotation for a canary");
     }
-    op_id = next_id_++;
+    op_id = next_op_id_++;
   }
 
   FleetPushMsg msg;
@@ -814,7 +704,6 @@ Result<int> FleetRouter::PushCanary(const std::string& model,
   CanaryState& canary = canaries_[model];
   canary.canary.Reset();
   canary.baseline.Reset();
-  canary.deciding = false;
   canary.active = true;
   canary.replica = replica;
   canary.version = replies.at(replica).version;
@@ -840,7 +729,7 @@ Status FleetRouter::Promote(const std::string& model) {
   uint64_t op_id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    op_id = next_id_++;
+    op_id = next_op_id_++;
     for (int r = 0; r < static_cast<int>(replicas_.size()); ++r) {
       if (replicas_[r].alive && r != canary_replica) targets.insert(r);
     }
@@ -869,7 +758,7 @@ Status FleetRouter::Rollback(const std::string& model) {
   bool was_canary = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    op_id = next_id_++;
+    op_id = next_op_id_++;
     auto it = canaries_.find(model);
     if (it != canaries_.end() && it->second.active) {
       was_canary = true;
@@ -907,8 +796,6 @@ Status FleetRouter::Rollback(const std::string& model) {
 
 void FleetRouter::MarkReplicaDead(int replica) {
   std::vector<Send> sends;
-  std::vector<std::pair<std::promise<Result<FleetBatchResult>>, Status>>
-      failed;
   std::vector<std::shared_ptr<AdminOp>> admin_done;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -936,22 +823,12 @@ void FleetRouter::MarkReplicaDead(int replica) {
     const uint64_t now = NowNanos();
     for (auto& [id, inf] : inflight_) {
       if (inf.replica != replica) continue;
-      Arm arm = inf.arm;
-      const int next = ChooseReplicaLocked(inf.model, id,
-                                           /*exclude=*/replica, &arm);
-      DecOutstandingLocked(replica);
-      if (next == -1) {
+      if (!RedispatchLocked(id, &inf, /*allow_same=*/false, failovers_, now,
+                            &sends)) {
+        // The timer retries once something returns.
+        DecOutstandingLocked(replica);
         inf.replica = -1;
-        continue;  // timer retries once something returns
       }
-      replicas_[next].outstanding++;
-      inf.replica = next;
-      inf.arm = arm;
-      inf.last_send_ns = now;
-      failovers_->Inc();
-      sends.push_back({ChannelKind::kTask, next,
-                       static_cast<uint32_t>(FleetMsg::kPredict),
-                       inf.payload});
     }
 
     // Admin ops stop waiting on it.
@@ -980,7 +857,6 @@ void FleetRouter::MarkReplicaDead(int replica) {
   }
   for (auto& op : admin_done) op->promise.set_value(std::move(op->replies));
   DoSends(std::move(sends));
-  for (auto& [promise, status] : failed) promise.set_value(status);
 }
 
 void FleetRouter::ShutdownReplicas() {

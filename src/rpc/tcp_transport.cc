@@ -20,6 +20,13 @@ namespace treeserver {
 
 namespace {
 
+/// Reconnect backoff (exponential, with jitter).
+constexpr int64_t kConnectBackoffInitialMs = 20;
+constexpr int64_t kConnectBackoffMaxMs = 1000;
+/// Bound on each peer's outbound buffer; Send() blocks when it is full
+/// (backpressure) instead of growing the heap without limit.
+constexpr size_t kSendBufferLimitBytes = 64u << 20;
+
 uint8_t WireChannelFor(ChannelKind channel) {
   switch (channel) {
     case ChannelKind::kTask:
@@ -214,8 +221,7 @@ bool TcpTransport::EnqueueFrame(Peer* peer, std::string bytes, bool control,
   if (bounded) {
     const uint64_t start = NowMicros();
     peer->cv.wait(lock, [&] {
-      return peer->sendq_bytes + bytes.size() <=
-                 opts_.send_buffer_limit_bytes ||
+      return peer->sendq_bytes + bytes.size() <= kSendBufferLimitBytes ||
              peer->dead.load() || shutdown_.load();
     });
     if (wait_micros != nullptr) *wait_micros = NowMicros() - start;
@@ -270,7 +276,7 @@ bool TcpTransport::Send(ChannelKind channel, Message msg) {
 }
 
 void TcpTransport::SenderLoop(Peer* peer) {
-  int64_t backoff = opts_.connect_backoff_initial_ms;
+  int64_t backoff = kConnectBackoffInitialMs;
   std::minstd_rand rng(static_cast<unsigned>(peer->port) * 2654435761u +
                        static_cast<unsigned>(peer->rank + 2));
   while (!peer->dead.load()) {
@@ -293,7 +299,7 @@ void TcpTransport::SenderLoop(Peer* peer) {
                              : 0;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(backoff + jitter));
-        backoff = std::min(backoff * 2, opts_.connect_backoff_max_ms);
+        backoff = std::min(backoff * 2, kConnectBackoffMaxMs);
         continue;
       }
       BinaryWriter hello;
@@ -306,7 +312,7 @@ void TcpTransport::SenderLoop(Peer* peer) {
         ::close(fd);
         continue;
       }
-      backoff = opts_.connect_backoff_initial_ms;
+      backoff = kConnectBackoffInitialMs;
       {
         std::lock_guard<std::mutex> lock(peer->mu);
         if (peer->ever_connected_out) peer->reconnects.fetch_add(1);

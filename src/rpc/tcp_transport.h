@@ -30,12 +30,6 @@ struct TcpTransportOptions {
   /// heartbeat_miss_limit consecutive silent periods.
   int64_t heartbeat_period_ms = 50;
   int heartbeat_miss_limit = 20;
-  /// Reconnect backoff (exponential, with jitter).
-  int64_t connect_backoff_initial_ms = 20;
-  int64_t connect_backoff_max_ms = 1000;
-  /// Bound on each peer's outbound buffer; Send() blocks when it is
-  /// full (backpressure) instead of growing the heap without limit.
-  size_t send_buffer_limit_bytes = 64u << 20;
   /// Fencing epoch stamped into every outgoing frame (rpc/frame.h). A
   /// restarted process announces a bumped value; receivers drop frames
   /// carrying an older generation ("zombies" from the previous

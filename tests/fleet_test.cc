@@ -183,47 +183,6 @@ TEST(FleetWire, AdminAndHealthRoundTrip) {
 }
 
 // ---------------------------------------------------------------------
-// Canary policy.
-// ---------------------------------------------------------------------
-
-TEST(FleetCanaryPolicy, KeepsRunningUntilMinRequests) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  EXPECT_EQ(EvaluateCanaryDecision({10, 0, 100}, {100, 0, 100}, budgets),
-            CanaryDecision::kKeepRunning);
-  EXPECT_EQ(EvaluateCanaryDecision({100, 0, 100}, {10, 0, 100}, budgets),
-            CanaryDecision::kKeepRunning);
-}
-
-TEST(FleetCanaryPolicy, PromotesWhenHealthy) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_p99_ratio = 2.0;
-  EXPECT_EQ(EvaluateCanaryDecision({60, 0, 120}, {600, 1, 100}, budgets),
-            CanaryDecision::kPromote);
-}
-
-TEST(FleetCanaryPolicy, RollsBackOnErrorBudget) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_error_excess = 0.02;
-  // 10% canary errors vs 0% baseline: over budget.
-  EXPECT_EQ(EvaluateCanaryDecision({60, 6, 100}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-  // Early rollback: breach detected well before min_requests.
-  EXPECT_EQ(EvaluateCanaryDecision({12, 6, 100}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-}
-
-TEST(FleetCanaryPolicy, RollsBackOnLatencyBudget) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_p99_ratio = 2.0;
-  EXPECT_EQ(EvaluateCanaryDecision({60, 0, 500}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-}
-
-// ---------------------------------------------------------------------
 // Router + replicas, in-process.
 // ---------------------------------------------------------------------
 
@@ -247,8 +206,8 @@ TEST(FleetRouterTest, PredictionsMatchSingleProcessReference) {
     EXPECT_EQ(result->labels[0], reference[row]) << "row " << row;
   }
 
-  // Every replica took some of the load (least-loaded + stickiness
-  // still spreads across ranks under concurrency).
+  // Every replica took some of the load (least-loaded dispatch
+  // spreads across ranks under concurrency).
   const FleetStatus status = fleet.router->GetStatus();
   EXPECT_EQ(status.shed, 0u);
   EXPECT_GE(status.accepted, table.num_rows());
@@ -272,6 +231,28 @@ TEST(FleetRouterTest, BatchedRowsMatchReference) {
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(result->labels[i], reference[rows[i]]);
   }
+}
+
+TEST(FleetRouterTest, DispatchSpreadsLoadAcrossReplicas) {
+  DataTable table = FleetData(16, 5);
+
+  FleetRouterConfig config;
+  // No timer acts during the test: no retransmit moves a request.
+  config.health_period_ms = 10000;
+  config.retry_period_ms = 10000;
+  // Replicas are never started, so nothing answers and every dispatch
+  // stays outstanding where the router put it.
+  FleetHarness fleet(2, config);
+  fleet.router->Start();
+
+  std::vector<std::future<Result<FleetBatchResult>>> futures;
+  for (uint32_t row = 0; row < 4; ++row) {
+    futures.push_back(fleet.router->Predict("m", table, row));
+  }
+  const FleetStatus status = fleet.router->GetStatus();
+  ASSERT_EQ(status.replicas.size(), 2u);
+  EXPECT_EQ(status.replicas[0].outstanding, 2u);
+  EXPECT_EQ(status.replicas[1].outstanding, 2u);
 }
 
 TEST(FleetRouterTest, ShedsAtAdmissionAndDeadlineWithCounts) {
@@ -460,6 +441,41 @@ TEST(FleetRouterTest, CanaryPromoteShipsNewVersionEverywhere) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->version, 2u);
     EXPECT_EQ(r->labels[0], reference_v2[row]);
+  }
+}
+
+TEST(FleetRouterTest, RestartedRouterPushPublishesNewBytes) {
+  DataTable table = FleetData(96, 47);
+  ForestModel v1 = TrainFleetForest(table, 17);
+  ForestModel v2 = TrainFleetForest(table, 99);
+  const std::vector<int32_t> reference_v2 = ReferenceLabels(v2, table);
+
+  FleetHarness fleet(2);
+  fleet.Start();
+  ASSERT_TRUE(fleet.router->Push("m", SerializeForest(v1)).ok());
+  fleet.router->Stop();
+
+  // A second router on the same long-lived replicas (a restarted
+  // driver): its admin op ids must not collide with the first one's,
+  // or the replicas would replay the old push reply instead of
+  // publishing the new bytes.
+  FleetRouterConfig config;
+  config.health_period_ms = 20;
+  config.retry_period_ms = 60;
+  fleet.router = std::make_unique<FleetRouter>(fleet.transport, config);
+  fleet.router->Start();
+  ASSERT_TRUE(fleet.router->Push("m", SerializeForest(v2)).ok());
+
+  for (auto& replica : fleet.replicas) {
+    auto current = replica->registry()->Current("m");
+    ASSERT_NE(current, nullptr);
+    EXPECT_EQ(current->version, 2u);
+  }
+  for (uint32_t row = 0; row < table.num_rows(); ++row) {
+    Result<FleetBatchResult> r = fleet.router->Predict("m", table, row).get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->version, 2u);
+    EXPECT_EQ(r->labels[0], reference_v2[row]) << "row " << row;
   }
 }
 

@@ -31,6 +31,8 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
+#include "common/file_io.h"
 #include "common/http_server.h"
 #include "common/logging.h"
 #include "common/serial.h"
@@ -95,29 +97,6 @@ struct FleetOptions {
   std::string path;
   bool canary = false;
 };
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
 
 void Usage() {
   std::fprintf(
@@ -266,14 +245,6 @@ std::unique_ptr<FaultInjectingTransport> MakeChaos(const FleetOptions& opt,
   return std::make_unique<FaultInjectingTransport>(inner, schedule);
 }
 
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status(StatusCode::kIOError, "cannot open " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return Status::OK();
-}
-
 int RunTrain(const FleetOptions& opt) {
   if (opt.out.empty()) {
     std::fprintf(stderr, "train: --out required\n");
@@ -370,7 +341,7 @@ int RunDrive(const FleetOptions& opt) {
   if (opt.trace) Tracer::Global().Enable();
 
   std::string model_bytes;
-  if (Status st = ReadFileBytes(opt.model, &model_bytes); !st.ok()) {
+  if (Status st = ReadFile(opt.model, &model_bytes); !st.ok()) {
     std::fprintf(stderr, "drive: %s\n", st.ToString().c_str());
     return 1;
   }
@@ -507,7 +478,7 @@ int RunDrive(const FleetOptions& opt) {
   // prove every live replica is back on (or still on) v1.
   if (!opt.canary_model.empty()) {
     std::string canary_bytes;
-    if (Status rst = ReadFileBytes(opt.canary_model, &canary_bytes);
+    if (Status rst = ReadFile(opt.canary_model, &canary_bytes);
         !rst.ok()) {
       std::fprintf(stderr, "drive: %s\n", rst.ToString().c_str());
       return 1;

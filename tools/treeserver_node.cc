@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/http_server.h"
 #include "common/logging.h"
 #include "common/prometheus.h"
@@ -95,29 +96,6 @@ struct NodeOptions {
   bool trace = false;     // enable the process tracer
   std::string trace_out;  // master: merged Chrome trace JSON path
 };
-
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
 
 void Usage() {
   std::fprintf(
