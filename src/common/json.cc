@@ -1,8 +1,32 @@
 #include "common/json.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace treeserver {
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  // Short escapes for \b \t \n (\v has none) \f \r, indexed from '\b'.
+  static constexpr char kShort[] = "btn?fr";
+  out->push_back('"');
+  for (char c : s) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (u >= 0x20) {
+      out->push_back(c);
+    } else if (u >= '\b' && u <= '\r' && u != '\v') {
+      out->push_back('\\');
+      out->push_back(kShort[u - '\b']);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(u));
+      *out += buf;
+    }
+  }
+  out->push_back('"');
+}
 
 class JsonParser {
  public:
@@ -150,11 +174,19 @@ class JsonParser {
           out->push_back('\t');
           break;
         case 'u': {
-          // Pass the raw sequence through; none of our producers emit
-          // \u escapes, this just keeps foreign input from erroring.
+          // AppendJsonString emits \u00XX for control bytes: decode
+          // ASCII code points to their byte. Anything wider passes
+          // through raw, which keeps foreign input from erroring.
           if (end_ - p_ < 4) return Err("short unicode escape");
-          out->append("\\u");
-          out->append(p_, 4);
+          const std::string hex(p_, 4);
+          char* hex_end = nullptr;
+          const long cp = std::strtol(hex.c_str(), &hex_end, 16);
+          if (hex_end == hex.c_str() + 4 && cp >= 0 && cp < 0x80) {
+            out->push_back(static_cast<char>(cp));
+          } else {
+            out->append("\\u");
+            out->append(p_, 4);
+          }
           p_ += 4;
           break;
         }

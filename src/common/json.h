@@ -4,16 +4,24 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace treeserver {
 
+/// Appends `s` to `out` as a quoted JSON string. Escapes '"', '\\' and
+/// every byte below 0x20 (\n \r \t \b \f in short form, the rest as
+/// \u00XX); other bytes pass through. Every string from outside the
+/// program (model names, trace names, lane labels) that lands in a
+/// JSON document goes through here.
+void AppendJsonString(std::string* out, std::string_view s);
+
 /// Minimal recursive-descent JSON value/parser, enough to consume the
-/// system's own output (trace files, /statusz, DumpJson) without an
-/// external dependency. Numbers are held as double; no unicode escape
-/// decoding beyond pass-through of \uXXXX sequences.
+/// system's own output (trace files, /statusz) without an external
+/// dependency. Numbers are held as double; \u00XX escapes below 0x80
+/// decode to their byte, other \uXXXX sequences pass through verbatim.
 class JsonValue {
  public:
   enum class Type : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };

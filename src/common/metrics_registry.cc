@@ -68,13 +68,6 @@ PeakGauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-BusyClock* MetricsRegistry::GetClock(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = clocks_[name];
-  if (slot == nullptr) slot = std::make_unique<BusyClock>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
@@ -85,8 +78,7 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
   std::vector<MetricSnapshot> out;
   std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(counters_.size() + gauges_.size() + clocks_.size() +
-              histograms_.size());
+  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     MetricSnapshot m;
     m.name = name;
@@ -100,13 +92,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     m.kind = MetricSnapshot::Kind::kGauge;
     m.value = g->value();
     m.peak = g->peak();
-    out.push_back(std::move(m));
-  }
-  for (const auto& [name, c] : clocks_) {
-    MetricSnapshot m;
-    m.name = name;
-    m.kind = MetricSnapshot::Kind::kClock;
-    m.seconds = c->Seconds();
     out.push_back(std::move(m));
   }
   for (const auto& [name, h] : histograms_) {
@@ -139,10 +124,6 @@ std::string MetricsRegistry::DumpText() const {
                       m.name.c_str(), static_cast<long long>(m.value),
                       static_cast<long long>(m.peak));
         break;
-      case MetricSnapshot::Kind::kClock:
-        std::snprintf(buf, sizeof(buf), "%-40s clock   %.6fs\n",
-                      m.name.c_str(), m.seconds);
-        break;
       case MetricSnapshot::Kind::kHistogram:
         std::snprintf(
             buf, sizeof(buf),
@@ -159,53 +140,10 @@ std::string MetricsRegistry::DumpText() const {
   return out;
 }
 
-std::string MetricsRegistry::DumpJson() const {
-  std::string out = "{";
-  char buf[256];
-  bool first = true;
-  for (const MetricSnapshot& m : Snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + m.name + "\":";
-    switch (m.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        std::snprintf(buf, sizeof(buf), "{\"type\":\"counter\",\"value\":%llu}",
-                      static_cast<unsigned long long>(m.count));
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        std::snprintf(buf, sizeof(buf),
-                      "{\"type\":\"gauge\",\"value\":%lld,\"peak\":%lld}",
-                      static_cast<long long>(m.value),
-                      static_cast<long long>(m.peak));
-        break;
-      case MetricSnapshot::Kind::kClock:
-        std::snprintf(buf, sizeof(buf),
-                      "{\"type\":\"clock\",\"seconds\":%.6f}", m.seconds);
-        break;
-      case MetricSnapshot::Kind::kHistogram:
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"type\":\"histogram\",\"count\":%llu,\"sum\":%llu,"
-            "\"mean\":%.3f,\"p50\":%llu,\"p99\":%llu,\"max\":%llu}",
-            static_cast<unsigned long long>(m.histogram.count),
-            static_cast<unsigned long long>(m.histogram.sum),
-            m.histogram.Mean(),
-            static_cast<unsigned long long>(m.histogram.Percentile(0.50)),
-            static_cast<unsigned long long>(m.histogram.Percentile(0.99)),
-            static_cast<unsigned long long>(m.histogram.max));
-        break;
-    }
-    out += buf;
-  }
-  out += "}";
-  return out;
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, c] : clocks_) c->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
 }
 

@@ -95,14 +95,13 @@ class Histogram {
 
 /// One named metric's current value, for structured reporting.
 struct MetricSnapshot {
-  enum class Kind : uint8_t { kCounter, kGauge, kClock, kHistogram };
+  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
 
   std::string name;
   Kind kind = Kind::kCounter;
   uint64_t count = 0;           // counter value / histogram count
   int64_t value = 0;            // gauge current
   int64_t peak = 0;             // gauge peak
-  double seconds = 0.0;         // busy clock
   Histogram::Snapshot histogram;  // kHistogram only
 };
 
@@ -122,7 +121,6 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   PeakGauge* GetGauge(const std::string& name);
-  BusyClock* GetClock(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   /// Structured values of every registered metric, sorted by name.
@@ -130,8 +128,6 @@ class MetricsRegistry {
 
   /// Human-readable one-metric-per-line dump.
   std::string DumpText() const;
-  /// JSON object {"name": {...}, ...}.
-  std::string DumpJson() const;
 
   void ResetAll();
 
@@ -139,7 +135,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<PeakGauge>> gauges_;
-  std::map<std::string, std::unique_ptr<BusyClock>> clocks_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -50,12 +50,6 @@ std::string I64(int64_t v) {
   return buf;
 }
 
-std::string F64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void AppendType(std::string* out, const std::string& name, const char* type) {
   *out += "# TYPE ";
   *out += name;
@@ -110,10 +104,6 @@ void AppendPrometheusMetric(const MetricSnapshot& metric,
       AppendSample(out, name, labels, {}, I64(metric.value));
       AppendType(out, name + "_peak", "gauge");
       AppendSample(out, name + "_peak", labels, {}, I64(metric.peak));
-      break;
-    case MetricSnapshot::Kind::kClock:
-      AppendType(out, name + "_seconds", "counter");
-      AppendSample(out, name + "_seconds", labels, {}, F64(metric.seconds));
       break;
     case MetricSnapshot::Kind::kHistogram: {
       AppendType(out, name, "histogram");

@@ -23,8 +23,7 @@ std::string PrometheusEscapeLabel(const std::string& value);
 
 /// Renders one metric snapshot in the Prometheus text exposition
 /// format v0.0.4. Counters become `counter` samples; gauges emit the
-/// current value plus a `<name>_peak` gauge; busy clocks emit
-/// `<name>_seconds`; histograms emit cumulative `_bucket{le="..."}`
+/// current value plus a `<name>_peak` gauge; histograms emit cumulative `_bucket{le="..."}`
 /// series (log-bucketed upper bounds plus `+Inf`), `_sum` and
 /// `_count`.
 void AppendPrometheusMetric(const MetricSnapshot& metric,

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/file_io.h"
+#include "common/json.h"
 #include "common/metrics_registry.h"
 
 namespace treeserver {
@@ -16,13 +18,6 @@ uint64_t SteadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void AppendEscaped(std::string* out, const char* s) {
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out->push_back('\\');
-    out->push_back(*p);
-  }
 }
 
 }  // namespace
@@ -168,15 +163,15 @@ void Tracer::Clear() {
 void AppendChromeEventJson(const TraceEventCopy& e, int pid, int64_t shift_ns,
                            std::string* out) {
   char buf[160];
-  *out += "{\"name\":\"";
-  AppendEscaped(out, e.name.c_str());
-  *out += "\",\"cat\":\"";
-  AppendEscaped(out, TraceCategoryName(e.cat));
+  *out += "{\"name\":";
+  AppendJsonString(out, e.name);
+  *out += ",\"cat\":";
+  AppendJsonString(out, TraceCategoryName(e.cat));
   // Chrome trace timestamps are microseconds (fractional allowed).
   const double ts_us =
       static_cast<double>(static_cast<int64_t>(e.ts_ns) + shift_ns) / 1e3;
   std::snprintf(buf, sizeof(buf),
-                "\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f", e.phase,
+                ",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f", e.phase,
                 pid, e.tid, ts_us);
   *out += buf;
   if (e.phase == 'X') {
@@ -201,9 +196,8 @@ void AppendChromeEventJson(const TraceEventCopy& e, int pid, int64_t shift_ns,
     }
     if (!e.arg_name.empty()) {
       if (!first_arg) *out += ",";
-      *out += "\"";
-      AppendEscaped(out, e.arg_name.c_str());
-      std::snprintf(buf, sizeof(buf), "\":%lld", static_cast<long long>(e.arg));
+      AppendJsonString(out, e.arg_name);
+      std::snprintf(buf, sizeof(buf), ":%lld", static_cast<long long>(e.arg));
       *out += buf;
     }
     *out += "}";
@@ -257,17 +251,7 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
                  static_cast<unsigned long long>(dropped),
                  max_events_per_thread());
   }
-  std::string json = ToChromeJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace file: " + path);
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::IOError("short write to trace file: " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, ToChromeJson());
 }
 
 }  // namespace treeserver

@@ -1,6 +1,10 @@
 #include "common/trace_merge.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <chrono>
+
+#include "common/json.h"
+#include "common/logging.h"
 
 namespace treeserver {
 
@@ -10,21 +14,14 @@ namespace {
 /// not attempt a giant allocation.
 constexpr uint64_t kMaxSnapshotEvents = 64u << 20;
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
 /// Emits the 'M' metadata event naming a process lane.
 void AppendProcessNameEvent(int pid, const std::string& label,
                             std::string* out) {
   *out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
   *out += std::to_string(pid);
-  *out += ",\"tid\":0,\"args\":{\"name\":\"";
-  AppendEscaped(out, label);
-  *out += "\"}}";
+  *out += ",\"tid\":0,\"args\":{\"name\":";
+  AppendJsonString(out, label);
+  *out += "}}";
 }
 
 }  // namespace
@@ -95,27 +92,74 @@ std::string MergedChromeTraceJson(const std::vector<RankTrace>& ranks) {
   return out;
 }
 
-Status WriteMergedChromeTrace(const std::vector<RankTrace>& ranks,
-                              const std::string& path) {
+Status TraceCollector::Open(const std::vector<int32_t>& ranks) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (open_) {
+    return Status::FailedPrecondition("trace collection already running");
+  }
+  open_ = true;
+  expected_ = std::set<int32_t>(ranks.begin(), ranks.end());
+  lanes_.clear();
+  return Status::OK();
+}
+
+void TraceCollector::Add(RankTrace lane) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!open_ || expected_.erase(lane.rank) == 0) return;
+  lanes_.push_back(std::move(lane));
+  if (expected_.empty()) cv_.notify_all();
+}
+
+void TraceCollector::Forget(int32_t rank) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (open_ && expected_.erase(rank) > 0 && expected_.empty()) {
+    cv_.notify_all();
+  }
+}
+
+void TraceCollector::Cancel() {
+  std::lock_guard<std::mutex> lock(mu_);
+  cancelled_ = true;
+  cv_.notify_all();
+}
+
+std::string TraceCollector::Finish(
+    int timeout_ms, const std::function<int64_t(int)>& clock_offset_ns) {
+  std::vector<RankTrace> ranks;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                 [&] { return expected_.empty() || cancelled_; });
+    if (!expected_.empty()) {
+      TS_LOG(kWarn) << local_label_ << ": trace collection missing "
+                    << expected_.size() << " lane(s)";
+    }
+    ranks = std::move(lanes_);
+    lanes_.clear();
+    expected_.clear();
+    open_ = false;
+  }
+  for (RankTrace& lane : ranks) {
+    lane.clock_offset_ns = clock_offset_ns ? clock_offset_ns(lane.rank) : 0;
+  }
+  RankTrace local;
+  local.rank = local_rank_;
+  local.label = local_label_;
+  local.dropped_spans = Tracer::Global().dropped_spans();
+  local.events = Tracer::Global().SnapshotEvents();
+  ranks.push_back(std::move(local));
+  std::sort(ranks.begin(), ranks.end(),
+            [](const RankTrace& a, const RankTrace& b) {
+              return a.rank < b.rank;
+            });
   uint64_t dropped = 0;
   for (const RankTrace& rt : ranks) dropped += rt.dropped_spans;
   if (dropped > 0) {
-    std::fprintf(stderr,
-                 "[trace] warning: %llu spans dropped across ranks; the "
-                 "merged trace is incomplete\n",
-                 static_cast<unsigned long long>(dropped));
+    TS_LOG(kWarn) << "[trace] " << dropped
+                  << " spans dropped across ranks; the merged trace is "
+                     "incomplete";
   }
-  std::string json = MergedChromeTraceJson(ranks);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot open trace file: " + path);
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::IOError("short write to trace file: " + path);
-  }
-  return Status::OK();
+  return MergedChromeTraceJson(ranks);
 }
 
 }  // namespace treeserver

@@ -1,8 +1,13 @@
 #ifndef TREESERVER_COMMON_TRACE_MERGE_H_
 #define TREESERVER_COMMON_TRACE_MERGE_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serial.h"
@@ -38,10 +43,46 @@ Status DeserializeTraceEvents(BinaryReader* r,
 /// timestamps rebased into the merging rank's clock.
 std::string MergedChromeTraceJson(const std::vector<RankTrace>& ranks);
 
-/// Writes MergedChromeTraceJson to `path`; logs a one-line warning to
-/// stderr when any rank dropped spans.
-Status WriteMergedChromeTrace(const std::vector<RankTrace>& ranks,
-                              const std::string& path);
+/// One cross-rank trace collection, shared by the training master and
+/// the fleet router. The owner opens a collection over the ranks it
+/// asked for a snapshot, feeds each reply to Add() and calls Finish(),
+/// which waits for the lanes and merges them with the owner's own.
+/// Thread-safe; one collection is open at a time.
+class TraceCollector {
+ public:
+  /// `local_rank` / `local_label` name the owner's own lane.
+  TraceCollector(int32_t local_rank, std::string local_label)
+      : local_rank_(local_rank), local_label_(std::move(local_label)) {}
+
+  /// Starts expecting one snapshot from each rank in `ranks`.
+  /// FailedPrecondition while another collection is open.
+  Status Open(const std::vector<int32_t>& ranks);
+  /// Takes a remote rank's lane; ignored unless that rank is still
+  /// expected (no collection open, a duplicate, or a late reply).
+  void Add(RankTrace lane);
+  /// Stops expecting `rank` (it died); its lane is simply absent.
+  void Forget(int32_t rank);
+  /// Waits up to `timeout_ms` for every expected lane, closes the
+  /// collection and returns MergedChromeTraceJson over the owner's
+  /// tracer lane plus the lanes received, sorted by rank. Each remote
+  /// lane is rebased by `clock_offset_ns(rank)` (nullptr: no skew).
+  /// Logs a warning for missing lanes and for dropped spans.
+  std::string Finish(int timeout_ms,
+                     const std::function<int64_t(int)>& clock_offset_ns);
+  /// Wakes a waiting Finish and makes later ones return at once
+  /// (process shutdown).
+  void Cancel();
+
+ private:
+  const int32_t local_rank_;
+  const std::string local_label_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  bool cancelled_ = false;
+  std::set<int32_t> expected_;
+  std::vector<RankTrace> lanes_;
+};
 
 }  // namespace treeserver
 

@@ -61,6 +61,7 @@ void Master::Stop() {
   // re-closing the queue here would kill the new master's channel.
   if (stopped_.exchange(true)) return;
   stop_.store(true);
+  traces_.Cancel();
   {
     std::lock_guard<std::mutex> lock(watchdog_mu_);
     watchdog_cv_.notify_all();
@@ -797,38 +798,24 @@ void Master::WatchdogLoop() {
   }
 }
 
-int Master::RequestWorkerTraces() {
-  std::vector<int> targets;
+Result<std::string> Master::CollectMergedTrace(
+    int timeout_ms, std::function<int64_t(int)> clock_offset_ns) {
+  std::vector<int32_t> targets;
   {
+    // Opened under master_mu_, so a worker HandleWorkerCrash marks dead
+    // is either never expected or Forget()-ed right after.
     std::lock_guard<std::mutex> lock(master_mu_);
     for (int w = 0; w < config_.num_workers; ++w) {
       if (alive_[w]) targets.push_back(w);
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    worker_traces_.clear();
-    trace_expected_ = targets.size();
+    TS_RETURN_IF_ERROR(traces_.Open(targets));
   }
   for (int w : targets) {
     network_->Send(ChannelKind::kTrace,
                    Message{kMasterRank, w,
                            static_cast<uint32_t>(MsgType::kTraceRequest), ""});
   }
-  return static_cast<int>(targets.size());
-}
-
-bool Master::WaitForWorkerTraces(int64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(trace_mu_);
-  return trace_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return worker_traces_.size() >= trace_expected_;
-  });
-}
-
-std::vector<TraceSnapshotMsg> Master::TakeWorkerTraces() {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  trace_expected_ = 0;
-  return std::move(worker_traces_);
+  return traces_.Finish(timeout_ms, clock_offset_ns);
 }
 
 void Master::HandleTraceSnapshot(const std::string& payload) {
@@ -840,9 +827,8 @@ void Master::HandleTraceSnapshot(const std::string& payload) {
   TS_LOG(kDebug) << "master: trace snapshot from w" << snap.worker << " ("
                  << snap.events.size() << " events, " << snap.dropped
                  << " dropped)";
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  worker_traces_.push_back(std::move(snap));
-  trace_cv_.notify_all();
+  traces_.Add({snap.worker, "worker " + std::to_string(snap.worker), 0,
+               snap.dropped, std::move(snap.events)});
 }
 
 MasterStats Master::GetStats() const {
@@ -864,12 +850,6 @@ MasterStats Master::GetStats() const {
   stats.trees_completed = trees_completed_.value();
   stats.trees_restarted = trees_restarted_.value();
   stats.slow_tasks = slow_tasks_->value();
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  stats.retransmits = reg.GetCounter("engine.retransmits")->value();
-  stats.duplicate_msgs = reg.GetCounter("engine.duplicate_msgs")->value() +
-                         reg.GetCounter("engine.duplicate_tasks")->value();
-  stats.fenced_msgs = reg.GetCounter("engine.fenced_msgs")->value();
-  stats.corrupt_msgs = reg.GetCounter("engine.corrupt_msgs")->value();
   stats.predicted_load.resize(config_.num_workers);
   for (int w = 0; w < config_.num_workers; ++w) {
     std::array<double, 3> l = load_.Get(w);
@@ -906,6 +886,7 @@ void Master::HandleWorkerCrash(int worker) {
     if (!alive_[worker]) return;  // duplicate notice
     alive_[worker] = false;
   }
+  traces_.Forget(worker);
   // Stop retransmitting to the dead rank; its tasks are re-planned.
   link_.DropPeer(worker);
   load_.ClearWorker(worker);

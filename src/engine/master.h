@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "common/trace_merge.h"
 #include "concurrent/concurrent_hash_map.h"
 #include "concurrent/plan_deque.h"
 #include "engine/cost_model.h"
@@ -94,14 +96,6 @@ struct MasterStats {
   uint64_t trees_restarted = 0;
   /// In-flight tasks the watchdog has flagged as stragglers.
   uint64_t slow_tasks = 0;
-  /// Reliable-delivery health (process-wide registry counters):
-  /// retransmitted engine messages, duplicates suppressed at the
-  /// receive seams, stale-generation messages fenced, and CRC-failed
-  /// reliable frames dropped.
-  uint64_t retransmits = 0;
-  uint64_t duplicate_msgs = 0;
-  uint64_t fenced_msgs = 0;
-  uint64_t corrupt_msgs = 0;
   /// Predicted per-worker load units from M_work (Section VI), to be
   /// compared against the actual per-worker bytes / busy-time.
   struct WorkerLoad {
@@ -177,15 +171,13 @@ class Master {
   MasterStats GetStats() const;
 
   /// Cross-rank trace aggregation: asks every live worker for a
-  /// tracer snapshot (kTraceRequest on the low-priority trace
-  /// channel). Returns the number of requests sent. Thread-safe, but
-  /// only one collection may be in flight at a time.
-  int RequestWorkerTraces();
-  /// Blocks until every requested snapshot arrived (or timeout).
-  bool WaitForWorkerTraces(int64_t timeout_ms);
-  /// Hands over the snapshots collected so far and resets the
-  /// collection state.
-  std::vector<TraceSnapshotMsg> TakeWorkerTraces();
+  /// tracer snapshot (kTraceRequest on the low-priority trace channel)
+  /// and merges the replies that arrive within `timeout_ms`, plus the
+  /// master's own lane, into one Chrome trace JSON document. Worker
+  /// lanes are rebased by `clock_offset_ns(worker)` (nullptr: no
+  /// skew). FailedPrecondition while another collection runs.
+  Result<std::string> CollectMergedTrace(
+      int timeout_ms, std::function<int64_t(int)> clock_offset_ns);
 
  private:
   /// A node-task not yet assigned to workers.
@@ -327,11 +319,7 @@ class Master {
   Counter* const sched_counter_;       // "engine.tasks_scheduled"
   Counter* const dup_msgs_;            // "engine.duplicate_tasks"
 
-  // Trace collection (guarded by trace_mu_).
-  std::mutex trace_mu_;
-  std::condition_variable trace_cv_;
-  std::vector<TraceSnapshotMsg> worker_traces_;
-  size_t trace_expected_ = 0;
+  TraceCollector traces_{kMasterRank, "master"};
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};  // Stop() runs once

@@ -401,6 +401,14 @@ Status TraceSnapshotMsg::Decode(const std::string& payload,
   return DeserializeTraceEvents(&r, &out->events);
 }
 
+TraceSnapshotMsg LocalTraceSnapshot(int32_t rank) {
+  TraceSnapshotMsg snap;
+  snap.worker = rank;
+  snap.dropped = Tracer::Global().dropped_spans();
+  snap.events = Tracer::Global().SnapshotEvents();
+  return snap;
+}
+
 std::string TaskIdOnly::Encode() const {
   BinaryWriter w;
   w.Write(task_id);

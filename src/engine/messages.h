@@ -203,6 +203,10 @@ struct TraceSnapshotMsg {
   static Status Decode(const std::string& payload, TraceSnapshotMsg* out);
 };
 
+/// This process's tracer contents as `rank`'s snapshot: the reply a
+/// worker or fleet replica sends to a trace request.
+TraceSnapshotMsg LocalTraceSnapshot(int32_t rank);
+
 /// Simple one-field bodies.
 struct TaskIdOnly {
   uint64_t task_id = 0;

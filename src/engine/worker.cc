@@ -542,14 +542,10 @@ void Worker::CheckSubtreeReady(const TaskPtr& task, uint64_t task_id) {
 // ---------------------------------------------------------------------
 
 void Worker::HandleTraceRequest() {
-  TraceSnapshotMsg snap;
-  snap.worker = id_;
-  snap.dropped = Tracer::Global().dropped_spans();
-  snap.events = Tracer::Global().SnapshotEvents();
   network_->Send(ChannelKind::kTrace,
                  Message{id_, kMasterRank,
                          static_cast<uint32_t>(MsgType::kTraceSnapshot),
-                         snap.Encode()});
+                         LocalTraceSnapshot(id_).Encode()});
 }
 
 void Worker::ComperLoop() {

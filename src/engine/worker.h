@@ -63,9 +63,6 @@ class Worker {
   void Join();
 
   int id() const { return id_; }
-  /// Number of task objects currently parked (for tests/diagnostics).
-  size_t num_pending_tasks() const { return tasks_.size(); }
-  uint64_t tasks_computed() const { return computed_.value(); }
 
   /// Snapshot of queue depths and work counters. Thread-safe.
   WorkerStats GetStats() const;

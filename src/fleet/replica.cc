@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/trace.h"
 #include "engine/messages.h"
 
 namespace treeserver {
@@ -280,12 +279,9 @@ void FleetReplica::HandleHealthPing(const Message& msg) {
 }
 
 void FleetReplica::HandleTraceRequest() {
-  TraceSnapshotMsg snap;
-  snap.worker = config_.rank;
-  snap.dropped = Tracer::Global().dropped_spans();
-  snap.events = Tracer::Global().SnapshotEvents();
   SendToRouter(ChannelKind::kTrace,
-               static_cast<uint32_t>(FleetMsg::kTraceReply), snap.Encode());
+               static_cast<uint32_t>(FleetMsg::kTraceReply),
+               LocalTraceSnapshot(config_.rank).Encode());
 }
 
 }  // namespace treeserver

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <optional>
 #include <random>
 #include <sstream>
 
+#include "common/introspection.h"
+#include "common/json.h"
 #include "common/logging.h"
-#include "common/prometheus.h"
 #include "common/trace.h"
 #include "engine/messages.h"
 #include "serve/model_io.h"
@@ -39,6 +39,12 @@ constexpr uint64_t kAdminTimeoutNs = 10ull * 1000 * 1000 * 1000;
 uint64_t RandomSeed64() {
   std::random_device rd;
   return (static_cast<uint64_t>(rd()) << 32) ^ rd();
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out;
+  AppendJsonString(&out, s);
+  return out;
 }
 
 /// Value of `key` in an HTTP query string ("a=b&c=d"), empty if absent.
@@ -135,9 +141,8 @@ void FleetRouter::Stop() {
     inflight_.clear();
     for (auto& [id, op] : admin_) admin_orphaned.push_back(std::move(op));
     admin_.clear();
-    trace_active_ = false;
-    trace_cv_.notify_all();
   }
+  traces_.Cancel();
   for (auto& inf : orphaned) {
     inf.promise.set_value(Status::Unavailable("fleet router stopped"));
   }
@@ -473,18 +478,8 @@ void FleetRouter::HandleTraceReply(const Message& msg) {
     corrupt_->Inc();
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!trace_active_ || trace_expect_.count(snap.worker) == 0) return;
-  trace_expect_.erase(snap.worker);
-  RankTrace rank;
-  rank.rank = snap.worker;
-  rank.label = "replica " + std::to_string(snap.worker);
-  rank.clock_offset_ns =
-      config_.clock_offset_ns ? config_.clock_offset_ns(snap.worker) : 0;
-  rank.dropped_spans = snap.dropped;
-  rank.events = std::move(snap.events);
-  trace_snaps_.push_back(std::move(rank));
-  if (trace_expect_.empty()) trace_cv_.notify_all();
+  traces_.Add({snap.worker, "replica " + std::to_string(snap.worker), 0,
+               snap.dropped, std::move(snap.events)});
 }
 
 // ---------------------------------------------------------------------
@@ -850,10 +845,7 @@ void FleetRouter::MarkReplicaDead(int replica) {
     }
 
     // A pending trace collection stops expecting its lane.
-    if (trace_active_ && trace_expect_.erase(replica) > 0 &&
-        trace_expect_.empty()) {
-      trace_cv_.notify_all();
-    }
+    traces_.Forget(replica);
   }
   for (auto& op : admin_done) op->promise.set_value(std::move(op->replies));
   DoSends(std::move(sends));
@@ -875,51 +867,20 @@ void FleetRouter::ShutdownReplicas() {
 Result<std::string> FleetRouter::CollectMergedTrace(int timeout_ms) {
   std::vector<Send> sends;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (trace_active_) {
-      return Status::FailedPrecondition("trace collection already running");
-    }
-    trace_active_ = true;
-    trace_expect_.clear();
-    trace_snaps_.clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<int32_t> targets;
     for (int r = 0; r < static_cast<int>(replicas_.size()); ++r) {
       if (!replicas_[r].alive) continue;
-      trace_expect_.insert(r);
+      targets.push_back(r);
       // kTrace channel: low priority on TCP, and exempt from fault
       // injection, so a chaos profile cannot corrupt trace collection.
       sends.push_back({ChannelKind::kTrace, r,
                        static_cast<uint32_t>(FleetMsg::kTraceRequest), ""});
     }
+    TS_RETURN_IF_ERROR(traces_.Open(targets));
   }
   DoSends(std::move(sends));
-
-  std::vector<RankTrace> ranks;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    trace_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                       [&] { return trace_expect_.empty() || stopping_; });
-    if (!trace_expect_.empty()) {
-      TS_LOG(kWarn) << "fleet: trace collection missing "
-                       << trace_expect_.size() << " replica lane(s)";
-    }
-    ranks = std::move(trace_snaps_);
-    trace_snaps_.clear();
-    trace_expect_.clear();
-    trace_active_ = false;
-  }
-
-  RankTrace router_lane;
-  router_lane.rank = kMasterRank;
-  router_lane.label = "router";
-  router_lane.clock_offset_ns = 0;
-  router_lane.dropped_spans = Tracer::Global().dropped_spans();
-  router_lane.events = Tracer::Global().SnapshotEvents();
-  ranks.insert(ranks.begin(), std::move(router_lane));
-  std::sort(ranks.begin(), ranks.end(),
-            [](const RankTrace& a, const RankTrace& b) {
-              return a.rank < b.rank;
-            });
-  return MergedChromeTraceJson(ranks);
+  return traces_.Finish(timeout_ms, config_.clock_offset_ns);
 }
 
 // ---------------------------------------------------------------------
@@ -986,8 +947,8 @@ std::string FleetRouter::StatusJson() {
         << ",\"rejected\":" << r.rejected << ",\"models\":[";
     for (size_t m = 0; m < r.models.size(); ++m) {
       if (m > 0) out << ",";
-      out << "{\"name\":\"" << r.models[m].name
-          << "\",\"version\":" << r.models[m].version
+      out << "{\"name\":" << JsonString(r.models[m].name)
+          << ",\"version\":" << r.models[m].version
           << ",\"num_versions\":" << r.models[m].num_versions << "}";
     }
     out << "]}";
@@ -996,7 +957,8 @@ std::string FleetRouter::StatusJson() {
   for (size_t i = 0; i < status.canaries.size(); ++i) {
     const FleetCanaryStatus& c = status.canaries[i];
     if (i > 0) out << ",";
-    out << "{\"model\":\"" << c.model << "\",\"replica\":" << c.replica
+    out << "{\"model\":" << JsonString(c.model)
+        << ",\"replica\":" << c.replica
         << ",\"version\":" << c.version
         << ",\"canary\":{\"count\":" << c.canary.count
         << ",\"errors\":" << c.canary.errors
@@ -1011,23 +973,7 @@ std::string FleetRouter::StatusJson() {
 
 void FleetRouter::StartHttp() {
   http_ = std::make_unique<HttpServer>();
-  http_->Handle("/metrics", [this](const std::string&) {
-    HttpResponse resp;
-    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body = PrometheusExport(metrics_.Snapshot());
-    return resp;
-  });
-  http_->Handle("/healthz", [](const std::string&) {
-    HttpResponse resp;
-    resp.body = "ok\n";
-    return resp;
-  });
-  http_->Handle("/statusz", [this](const std::string&) {
-    HttpResponse resp;
-    resp.content_type = "application/json";
-    resp.body = StatusJson();
-    return resp;
-  });
+  MountIntrospection(http_.get(), &metrics_, [this] { return StatusJson(); });
   http_->Handle("/fleet/push", [this](const std::string& query) {
     HttpResponse resp;
     const std::string model = QueryParam(query, "model");

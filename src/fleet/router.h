@@ -305,11 +305,9 @@ class FleetRouter {
   bool started_ = false;
   bool stopping_ = false;
 
-  /// Trace collection state (one outstanding collection at a time).
-  std::condition_variable trace_cv_;
-  std::set<int> trace_expect_;
-  std::vector<RankTrace> trace_snaps_;
-  bool trace_active_ = false;
+  /// Opened under mu_ (lock order mu_ -> traces_); never waited on
+  /// while holding mu_.
+  TraceCollector traces_{kMasterRank, "router"};
 
   std::condition_variable timer_cv_;
   std::thread reply_thread_;

@@ -286,6 +286,19 @@ void CompiledForest::BuildContext(const DataTable& table,
   }
 }
 
+void ArgmaxLabels(const float* pmf, size_t n, int num_classes,
+                  int32_t* out_labels) {
+  const size_t k = static_cast<size_t>(num_classes);
+  for (size_t i = 0; i < n; ++i) {
+    const float* p = pmf + i * k;
+    size_t best = 0;
+    for (size_t c = 1; c < k; ++c) {
+      if (p[c] > p[best]) best = c;
+    }
+    out_labels[i] = static_cast<int32_t>(best);
+  }
+}
+
 void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
                                 size_t n, int max_depth,
                                 float* out_pmf) const {
@@ -313,19 +326,9 @@ void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
 void CompiledForest::PredictLabel(const DataTable& table, const uint32_t* rows,
                                   size_t n, int max_depth,
                                   int32_t* out_labels) const {
-  const size_t k = static_cast<size_t>(num_classes_);
-  std::vector<float> pmf(n * k);
+  std::vector<float> pmf(n * static_cast<size_t>(num_classes_));
   PredictPmf(table, rows, n, max_depth, pmf.data());
-  for (size_t i = 0; i < n; ++i) {
-    const float* p = pmf.data() + i * k;
-    // First-max argmax, matching std::max_element in
-    // ForestModel::PredictLabel.
-    size_t best = 0;
-    for (size_t c = 1; c < k; ++c) {
-      if (p[c] > p[best]) best = c;
-    }
-    out_labels[i] = static_cast<int32_t>(best);
-  }
+  ArgmaxLabels(pmf.data(), n, num_classes_, out_labels);
 }
 
 void CompiledForest::PredictValue(const DataTable& table, const uint32_t* rows,

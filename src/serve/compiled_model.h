@@ -156,6 +156,12 @@ class CompiledTree {
   std::shared_ptr<const PackedTree> packed_;
 };
 
+/// Labels from row-major PMFs (`n` rows of `num_classes` floats): the
+/// first-max argmax, matching std::max_element in
+/// ForestModel::PredictLabel.
+void ArgmaxLabels(const float* pmf, size_t n, int num_classes,
+                  int32_t* out_labels);
+
 /// A ForestModel compiled for batched serving. Predictions are exactly
 /// equal (bit-for-bit, same float accumulation order) to the
 /// row-at-a-time ForestModel::PredictPmf / PredictLabel / PredictValue.

@@ -4,8 +4,9 @@
 #include <chrono>
 #include <utility>
 
+#include "common/introspection.h"
+#include "common/json.h"
 #include "common/logging.h"
-#include "common/prometheus.h"
 #include "common/simd.h"
 #include "common/trace.h"
 
@@ -49,20 +50,7 @@ void InferenceServer::Start() {
   }
   if (config_.http_port >= 0) {
     http_ = std::make_unique<HttpServer>();
-    http_->Handle("/metrics", [this](const std::string&) {
-      HttpResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = PrometheusExport(metrics_.Snapshot());
-      return resp;
-    });
-    http_->Handle("/healthz", [](const std::string&) {
-      HttpResponse resp;
-      resp.body = "ok\n";
-      return resp;
-    });
-    http_->Handle("/statusz", [this](const std::string&) {
-      HttpResponse resp;
-      resp.content_type = "application/json";
+    MountIntrospection(http_.get(), &metrics_, [this] {
       const Stats stats = GetStats();
       std::string body = "{\"role\":\"inference\"," + SimdStatusJson() +
                          ",\"queue_depth\":" +
@@ -77,15 +65,15 @@ void InferenceServer::Start() {
         for (const auto& m : registry_->StatusSnapshot()) {
           if (!first) body += ",";
           first = false;
-          body += "{\"name\":\"" + m.name +
-                  "\",\"version\":" + std::to_string(m.version) +
+          body += "{\"name\":";
+          AppendJsonString(&body, m.name);
+          body += ",\"version\":" + std::to_string(m.version) +
                   ",\"num_versions\":" + std::to_string(m.num_versions) +
                   ",\"kind\":\"" + ModelKindName(m.kind) + "\"}";
         }
       }
       body += "]}\n";
-      resp.body = std::move(body);
-      return resp;
+      return body;
     });
     Status st = http_->Start(config_.http_host,
                              static_cast<uint16_t>(config_.http_port));
@@ -132,6 +120,7 @@ std::future<Result<Prediction>> InferenceServer::Predict(
   pending.enqueue_ns = NowNanos();
   std::future<Result<Prediction>> future = pending.promise.get_future();
   requests_total_->Inc();
+  requests_.Inc();
 
   if (pending.request.table == nullptr ||
       pending.request.row >= pending.request.table->num_rows()) {
@@ -159,6 +148,7 @@ std::future<Result<Prediction>> InferenceServer::Predict(
   }
   if (rejected) {
     requests_rejected_->Inc();
+    rejected_.Inc();
     pending.promise.set_value(Status::Unavailable(
         "inference queue full (" + std::to_string(config_.max_queue) +
         " pending); retry later"));
@@ -176,9 +166,9 @@ size_t InferenceServer::queue_depth() const {
 InferenceServer::Stats InferenceServer::GetStats() const {
   Stats stats;
   stats.queue_depth = queue_depth();
-  stats.requests = requests_total_->value();
-  stats.batches = batches_flushed_->value();
-  stats.rejected = requests_rejected_->value();
+  stats.requests = requests_.value();
+  stats.batches = flushed_.value();
+  stats.rejected = rejected_.value();
   return stats;
 }
 
@@ -262,6 +252,7 @@ void InferenceServer::FlushModel(const std::string& name,
     return;
   }
   batches_flushed_->Inc();
+  flushed_.Inc();
   batch_rows_->Add(items.size());
   Batch batch;
   batch.model = std::move(model);
@@ -313,18 +304,16 @@ void InferenceServer::ExecuteBatch(Batch batch) {
 
     const bool classification = compiled.is_classification();
     if (classification) {
+      // One traversal: the labels are the argmax of the PMF.
       pmf.assign(indices.size() * static_cast<size_t>(num_classes), 0.0f);
       compiled.PredictPmf(table, rows.data(), rows.size(), key.max_depth,
                           pmf.data());
+      labels.assign(indices.size(), 0);
+      ArgmaxLabels(pmf.data(), indices.size(), num_classes, labels.data());
     } else {
       values.assign(indices.size(), 0.0);
       compiled.PredictValue(table, rows.data(), rows.size(), key.max_depth,
                             values.data());
-    }
-    labels.assign(indices.size(), 0);
-    if (classification) {
-      compiled.PredictLabel(table, rows.data(), rows.size(), key.max_depth,
-                            labels.data());
     }
 
     const uint64_t done_ns = NowNanos();

@@ -103,9 +103,9 @@ class InferenceServer {
   /// batched).
   size_t queue_depth() const;
 
-  /// Point-in-time load counters (this server's own serve.* counters,
-  /// not the registry-wide metrics). Feeds /statusz and the fleet
-  /// replica's health pongs.
+  /// Point-in-time load counters of this server alone; the serve.*
+  /// registry counters also count every other server sharing the
+  /// registry. Feeds /statusz and the fleet replica's health pongs.
   struct Stats {
     size_t queue_depth = 0;
     uint64_t requests = 0;
@@ -137,10 +137,15 @@ class InferenceServer {
   const InferenceServerConfig config_;
   MetricsRegistry& metrics_;
 
+  // serve.* counters, shared by every server on the same registry.
   Counter* const requests_total_;
   Counter* const requests_rejected_;
   Counter* const batches_flushed_;
   Histogram* const batch_rows_;
+  // This server's own counts (GetStats).
+  Counter requests_;
+  Counter rejected_;
+  Counter flushed_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

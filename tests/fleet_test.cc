@@ -6,8 +6,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/http_server.h"
+#include "common/json.h"
 #include "common/serial.h"
-
+#include "common/trace.h"
 #include "fleet/replica.h"
 #include "fleet/router.h"
 #include "fleet/wire.h"
@@ -442,6 +444,85 @@ TEST(FleetRouterTest, CanaryPromoteShipsNewVersionEverywhere) {
     EXPECT_EQ(r->version, 2u);
     EXPECT_EQ(r->labels[0], reference_v2[row]);
   }
+}
+
+TEST(FleetRouterTest, StatuszEscapesModelNames) {
+  DataTable table = FleetData(64, 45);
+  const std::string name = "m\"x\\y\nz";
+  FleetRouterConfig config;
+  config.http_port = 0;
+  FleetHarness fleet(2, config);
+  fleet.Start();
+  ASSERT_GT(fleet.router->http_port(), 0);
+  ASSERT_TRUE(
+      fleet.router->Push(name, SerializeForest(TrainFleetForest(table, 17)))
+          .ok());
+  ASSERT_TRUE(
+      fleet.router
+          ->PushCanary(name, SerializeForest(TrainFleetForest(table, 99)))
+          .ok());
+  // Replica model lists reach the router with the health pongs.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto pongs_carry_name = [&] {
+    for (const FleetReplicaStatus& r : fleet.router->GetStatus().replicas) {
+      if (r.models.empty()) return false;
+    }
+    return true;
+  };
+  while (!pongs_carry_name() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(pongs_carry_name());
+
+  std::string body;
+  ASSERT_TRUE(
+      HttpGet("127.0.0.1", fleet.router->http_port(), "/statusz", &body).ok());
+  JsonValue doc;
+  Status parsed = JsonValue::Parse(body, &doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << body;
+  EXPECT_EQ(doc.StringOr("role", ""), "router");
+  const JsonValue* replicas = doc.Find("replicas");
+  ASSERT_NE(replicas, nullptr);
+  ASSERT_EQ(replicas->as_array().size(), 2u);
+  for (const JsonValue& r : replicas->as_array()) {
+    const JsonValue* models = r.Find("models");
+    ASSERT_NE(models, nullptr);
+    ASSERT_EQ(models->as_array().size(), 1u);
+    EXPECT_EQ(models->as_array()[0].StringOr("name", ""), name);
+  }
+  const JsonValue* canaries = doc.Find("canaries");
+  ASSERT_NE(canaries, nullptr);
+  ASSERT_EQ(canaries->as_array().size(), 1u);
+  EXPECT_EQ(canaries->as_array()[0].StringOr("model", ""), name);
+}
+
+TEST(FleetRouterTest, MergedTraceStopsWaitingForADeadReplica) {
+  Tracer::Global().Clear();
+  Tracer::Global().Enable();
+  FleetHarness fleet(2);
+  fleet.Start(/*skip_replica=*/1);  // replica 1 never answers
+  const auto start = std::chrono::steady_clock::now();
+  auto collected = std::async(std::launch::async, [&] {
+    return fleet.router->CollectMergedTrace(/*timeout_ms=*/20000);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  fleet.router->MarkReplicaDead(1);
+  Result<std::string> merged = collected.get();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  Tracer::Global().Disable();
+  Tracer::Global().Clear();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse(*merged, &doc).ok());
+  std::vector<std::string> lanes;
+  for (const JsonValue& ev : doc.Find("traceEvents")->as_array()) {
+    if (ev.StringOr("name", "") == "process_name") {
+      lanes.push_back(ev.Find("args")->StringOr("name", ""));
+    }
+  }
+  EXPECT_EQ(lanes, (std::vector<std::string>{"router", "replica 0"}));
 }
 
 TEST(FleetRouterTest, RestartedRouterPushPublishesNewBytes) {

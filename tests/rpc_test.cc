@@ -8,8 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "common/trace.h"
 #include "engine/cluster.h"
 #include "engine/master.h"
 #include "engine/messages.h"
@@ -740,6 +742,55 @@ TEST(TcpClusterTest, HistogramModeTrainsByteIdenticalAcrossTransports) {
   ForestModel reference = TrainForestSerial(data, spec, 2);
   EXPECT_EQ(SerializeForest(tcp_forest), SerializeForest(reference))
       << "histogram-mode distributed forest must match the serial one";
+}
+
+TEST(TcpClusterTest, MasterMergesTraceLanesOfLiveWorkers) {
+  Tracer::Global().Clear();
+  Tracer::Global().Enable();
+  const EngineConfig cfg = SmallClusterConfig(3);
+  Result<std::string> merged = Status::Internal("not collected");
+  auto elapsed = std::chrono::steady_clock::duration::zero();
+  {
+    TcpCluster cluster(MakeClusterData(2000, 303), cfg, 10, 5);
+    cluster.Train(SmallJob());
+    cluster.KillWorker(2);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!cluster.master_tx->IsCrashed(2) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(cluster.master_tx->IsCrashed(2));
+    // Worker 2 never answers: the collection must stop waiting for it
+    // once the master learns of the crash, not sit out the timeout.
+    const auto start = std::chrono::steady_clock::now();
+    merged = cluster.master->CollectMergedTrace(
+        /*timeout_ms=*/30000, [&cluster](int w) {
+          int64_t offset = 0;
+          cluster.master_tx->PeerClockOffset(w, &offset);
+          return offset;
+        });
+    elapsed = std::chrono::steady_clock::now() - start;
+  }
+  Tracer::Global().Disable();
+  Tracer::Global().Clear();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(15));
+
+  JsonValue doc;
+  ASSERT_TRUE(JsonValue::Parse(*merged, &doc).ok());
+  std::vector<std::string> lanes;
+  size_t events = 0;
+  for (const JsonValue& ev : doc.Find("traceEvents")->as_array()) {
+    if (ev.StringOr("name", "") == "process_name") {
+      lanes.push_back(ev.Find("args")->StringOr("name", ""));
+    } else {
+      ++events;
+    }
+  }
+  EXPECT_EQ(lanes,
+            (std::vector<std::string>{"master", "worker 0", "worker 1"}));
+  EXPECT_GT(events, 0u);
 }
 
 TEST(TcpClusterTest, SurvivesKilledWorkerMidJob) {

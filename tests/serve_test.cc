@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/http_server.h"
+#include "common/json.h"
 #include "deepforest/deep_forest.h"
 #include "forest/forest.h"
 #include "serve/compiled_model.h"
@@ -707,6 +709,59 @@ TEST(InferenceServerTest, HotSwapTakesEffectBetweenRequests) {
   Result<Prediction> r2 = server.Predict(req).get();
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->model_version, 2u);
+}
+
+TEST(InferenceServerTest, StatsCountOnlyThisServersTraffic) {
+  auto table = std::make_shared<DataTable>(MixedData(2, 50, 77));
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", TrainSmallForest(*table, 2, 4)).ok());
+  // Two servers on one metrics registry, as in an in-process fleet.
+  MetricsRegistry metrics;
+  InferenceServerConfig cfg;
+  cfg.metrics = &metrics;
+  InferenceServer a(&registry, cfg);
+  InferenceServer b(&registry, cfg);
+  a.Start();
+  b.Start();
+  for (uint32_t i = 0; i < 3; ++i) {
+    PredictRequest req;
+    req.model = "m";
+    req.table = table;
+    req.row = i;
+    ASSERT_TRUE(a.Predict(std::move(req)).get().ok());
+  }
+  EXPECT_EQ(a.GetStats().requests, 3u);
+  EXPECT_GT(a.GetStats().batches, 0u);
+  EXPECT_EQ(b.GetStats().requests, 0u);
+  EXPECT_EQ(b.GetStats().batches, 0u);
+  // The shared registry still counts the traffic of both.
+  EXPECT_EQ(metrics.GetCounter("serve.requests")->value(), 3u);
+}
+
+TEST(InferenceServerTest, StatuszEscapesModelNames) {
+  auto table = std::make_shared<DataTable>(MixedData(2, 50, 78));
+  ModelRegistry registry;
+  const std::string name = "m\"x\\y\nz";
+  ASSERT_TRUE(registry.Publish(name, TrainSmallForest(*table, 1, 3)).ok());
+  MetricsRegistry metrics;
+  InferenceServerConfig cfg;
+  cfg.metrics = &metrics;
+  cfg.http_port = 0;
+  InferenceServer server(&registry, cfg);
+  server.Start();
+  ASSERT_GT(server.http_port(), 0);
+
+  std::string body;
+  ASSERT_TRUE(HttpGet("127.0.0.1", server.http_port(), "/statusz", &body).ok());
+  JsonValue doc;
+  Status parsed = JsonValue::Parse(body, &doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString() << "\n" << body;
+  EXPECT_EQ(doc.StringOr("role", ""), "inference");
+  const JsonValue* models = doc.Find("models");
+  ASSERT_NE(models, nullptr);
+  ASSERT_EQ(models->as_array().size(), 1u);
+  EXPECT_EQ(models->as_array()[0].StringOr("name", ""), name);
+  server.Stop();
 }
 
 TEST(InferenceServerTest, StopDrainsQueuedWork) {

@@ -68,9 +68,10 @@ echo "== tsan: concurrent_test + engine_stress_test + serve + rpc + obs + chaos 
 # injector's delivery thread and the retransmit thread touch every
 # engine queue concurrently, exactly the interleavings TSan exists for.
 # Fleet*/ModelRegistry* add the router's timer/receive threads and the
-# hot-swap-under-load registry stress on top.
+# hot-swap-under-load registry stress on top. TraceCollector* races
+# Forget/Cancel against a waiting Finish.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/treeserver_tests \
-  --gtest_filter='BlockingQueue*:ConcurrentHashMap*:PlanDeque*:EngineStress*:InferenceServer*:ModelRegistry*:Fleet*:TcpTransport*:TcpCluster*:HttpServer*:StatsReporter*:Watchdog*:TracerTest*:Chaos*:Reliable*:FaultInject*'
+  --gtest_filter='BlockingQueue*:ConcurrentHashMap*:PlanDeque*:EngineStress*:InferenceServer*:ModelRegistry*:Fleet*:TcpTransport*:TcpCluster*:HttpServer*:StatsReporter*:Watchdog*:TracerTest*:TraceCollector*:Chaos*:Reliable*:FaultInject*'
 
 echo "== ubsan: configure + build =="
 cmake -B build-ubsan -S . -DTS_SANITIZE=undefined >/dev/null

@@ -524,14 +524,14 @@ int RunDrive(const FleetOptions& opt) {
 
   if (opt.trace && !opt.trace_out.empty()) {
     Result<std::string> merged = active->CollectMergedTrace();
-    if (merged.ok()) {
-      std::ofstream out(opt.trace_out, std::ios::trunc);
-      out << *merged;
+    Status st = merged.ok() ? WriteFileAtomic(opt.trace_out, *merged)
+                            : merged.status();
+    if (st.ok()) {
       std::fprintf(stderr, "drive: merged trace -> %s\n",
                    opt.trace_out.c_str());
     } else {
-      std::fprintf(stderr, "drive: trace collection failed: %s\n",
-                   merged.status().ToString().c_str());
+      std::fprintf(stderr, "drive: cannot write trace: %s\n",
+                   st.ToString().c_str());
     }
   }
 

@@ -28,12 +28,12 @@
 #include <vector>
 
 #include "cli_flags.h"
+#include "common/file_io.h"
 #include "common/http_server.h"
+#include "common/introspection.h"
 #include "common/logging.h"
-#include "common/prometheus.h"
 #include "common/simd.h"
 #include "common/trace.h"
-#include "common/trace_merge.h"
 #include "engine/checkpoint_io.h"
 #include "engine/cluster.h"
 #include "engine/master.h"
@@ -352,24 +352,10 @@ std::unique_ptr<HttpServer> StartNodeHttp(
     std::function<std::string()> statusz) {
   if (opt.http_port < 0) return nullptr;
   auto http = std::make_unique<HttpServer>();
-  http->Handle("/metrics", [transport](const std::string&) {
-    HttpResponse resp;
-    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body = PrometheusExport(MetricsRegistry::Global().Snapshot());
-    AppendTransportMetrics(transport->GetStats(), &resp.body);
-    return resp;
-  });
-  http->Handle("/healthz", [](const std::string&) {
-    HttpResponse resp;
-    resp.body = "ok\n";
-    return resp;
-  });
-  http->Handle("/statusz", [statusz = std::move(statusz)](const std::string&) {
-    HttpResponse resp;
-    resp.content_type = "application/json";
-    resp.body = statusz();
-    return resp;
-  });
+  MountIntrospection(http.get(), &MetricsRegistry::Global(),
+                     std::move(statusz), [transport](std::string* out) {
+                       AppendTransportMetrics(transport->GetStats(), out);
+                     });
   Status st = http->Start("127.0.0.1", static_cast<uint16_t>(opt.http_port));
   if (!st.ok()) {
     std::fprintf(stderr, "http: %s\n", st.ToString().c_str());
@@ -387,43 +373,46 @@ uint64_t SumEndpoint(const NetworkStats& stats,
   return total;
 }
 
+/// The /statusz fields every TCP rank reports after its role-specific
+/// ones, through the closing brace.
+std::string RankStatusTail(const TcpTransport& transport) {
+  const NetworkStats net = transport.GetStats();
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  return ",\"reconnects\":" +
+         std::to_string(SumEndpoint(net, &NetworkStats::Endpoint::reconnects)) +
+         ",\"heartbeat_misses\":" +
+         std::to_string(
+             SumEndpoint(net, &NetworkStats::Endpoint::heartbeat_misses)) +
+         ",\"retransmits\":" +
+         std::to_string(reg.GetCounter("engine.retransmits")->value()) +
+         ",\"fenced_msgs\":" +
+         std::to_string(reg.GetCounter("engine.fenced_msgs")->value()) +
+         ",\"rss_bytes\":" + std::to_string(CurrentRssBytes()) + "," +
+         SimdStatusJson() + "}\n";
+}
+
 /// Collects every rank's tracer snapshot at the master, rebases remote
 /// timestamps with the heartbeat-derived clock offsets, and writes one
 /// merged Chrome trace JSON.
 void CollectAndWriteTrace(const NodeOptions& opt, Master* master,
                           TcpTransport* transport) {
-  const int requested = master->RequestWorkerTraces();
-  if (!master->WaitForWorkerTraces(10000)) {
-    std::fprintf(stderr, "master: trace collection timed out\n");
-  }
-  std::vector<TraceSnapshotMsg> snaps = master->TakeWorkerTraces();
-  std::vector<RankTrace> ranks;
-  RankTrace mine;
-  mine.rank = kMasterRank;
-  mine.label = "master";
-  mine.dropped_spans = Tracer::Global().dropped_spans();
-  mine.events = Tracer::Global().SnapshotEvents();
-  ranks.push_back(std::move(mine));
-  for (TraceSnapshotMsg& snap : snaps) {
-    RankTrace rt;
-    rt.rank = snap.worker;
-    rt.label = "worker " + std::to_string(snap.worker);
-    if (!transport->PeerClockOffset(snap.worker, &rt.clock_offset_ns)) {
-      std::fprintf(stderr, "master: no clock offset for w%d; using 0\n",
-                   snap.worker);
-    }
-    rt.dropped_spans = snap.dropped;
-    rt.events = std::move(snap.events);
-    ranks.push_back(std::move(rt));
-  }
-  Status st = WriteMergedChromeTrace(ranks, opt.trace_out);
+  Result<std::string> merged =
+      master->CollectMergedTrace(10000, [transport](int worker) {
+        int64_t offset = 0;
+        if (!transport->PeerClockOffset(worker, &offset)) {
+          std::fprintf(stderr, "master: no clock offset for w%d; using 0\n",
+                       worker);
+        }
+        return offset;
+      });
+  Status st = merged.ok() ? WriteFileAtomic(opt.trace_out, *merged)
+                          : merged.status();
   if (!st.ok()) {
     std::fprintf(stderr, "master: cannot write trace: %s\n",
                  st.ToString().c_str());
     return;
   }
-  std::fprintf(stderr, "master: merged trace (%zu/%d worker snapshots) -> %s\n",
-               snaps.size(), requested, opt.trace_out.c_str());
+  std::fprintf(stderr, "master: merged trace -> %s\n", opt.trace_out.c_str());
 }
 
 int RunInproc(const NodeOptions& opt) {
@@ -491,28 +480,12 @@ int RunMaster(const NodeOptions& opt) {
   std::unique_ptr<HttpServer> http =
       StartNodeHttp(opt, transport.get(), [&master, &transport] {
         MasterStats s = master.GetStats();
-        NetworkStats net = transport->GetStats();
         return "{\"rank\":-1,\"role\":\"master\",\"tasks_in_flight\":" +
                std::to_string(s.tasks_in_flight) +
                ",\"bplan_depth\":" + std::to_string(s.bplan_depth) +
                ",\"active_trees\":" + std::to_string(s.active_trees) +
                ",\"slow_tasks\":" + std::to_string(s.slow_tasks) +
-               ",\"reconnects\":" +
-               std::to_string(
-                   SumEndpoint(net, &NetworkStats::Endpoint::reconnects)) +
-               ",\"heartbeat_misses\":" +
-               std::to_string(SumEndpoint(
-                   net, &NetworkStats::Endpoint::heartbeat_misses)) +
-               ",\"retransmits\":" +
-               std::to_string(MetricsRegistry::Global()
-                                  .GetCounter("engine.retransmits")
-                                  ->value()) +
-               ",\"fenced_msgs\":" +
-               std::to_string(MetricsRegistry::Global()
-                                  .GetCounter("engine.fenced_msgs")
-                                  ->value()) +
-               ",\"rss_bytes\":" + std::to_string(CurrentRssBytes()) + "," +
-               SimdStatusJson() + "}\n";
+               RankStatusTail(*transport);
       });
   transport->SetPeerDeadCallback([&](int rank) {
     if (rank != kMasterRank) master.OnWorkerCrash(rank);
@@ -634,28 +607,12 @@ int RunWorker(const NodeOptions& opt) {
   std::unique_ptr<HttpServer> http =
       StartNodeHttp(opt, transport.get(), [&opt, &worker, &transport] {
         WorkerStats s = worker.GetStats();
-        NetworkStats net = transport->GetStats();
         return "{\"rank\":" + std::to_string(opt.rank) +
                ",\"role\":\"worker\",\"tasks_parked\":" +
                std::to_string(s.tasks_parked) +
                ",\"btask_depth\":" + std::to_string(s.btask_depth) +
                ",\"tasks_computed\":" + std::to_string(s.tasks_computed) +
-               ",\"reconnects\":" +
-               std::to_string(
-                   SumEndpoint(net, &NetworkStats::Endpoint::reconnects)) +
-               ",\"heartbeat_misses\":" +
-               std::to_string(SumEndpoint(
-                   net, &NetworkStats::Endpoint::heartbeat_misses)) +
-               ",\"retransmits\":" +
-               std::to_string(MetricsRegistry::Global()
-                                  .GetCounter("engine.retransmits")
-                                  ->value()) +
-               ",\"fenced_msgs\":" +
-               std::to_string(MetricsRegistry::Global()
-                                  .GetCounter("engine.fenced_msgs")
-                                  ->value()) +
-               ",\"rss_bytes\":" + std::to_string(CurrentRssBytes()) + "," +
-               SimdStatusJson() + "}\n";
+               RankStatusTail(*transport);
       });
   worker.Start();
   // The task loop exits (closing its queue) on the master's kShutdown;
