@@ -10,8 +10,6 @@
 // >= MLlib's in most rows (exact vs binned splits), boosting sometimes
 // more accurate but far slower than bagging at equal tree counts.
 
-#include <cstring>
-
 #include "baselines/gbdt.h"
 #include "baselines/planet.h"
 #include "bench_util.h"
@@ -152,17 +150,13 @@ void PartC(const BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = BenchOptions::Parse(argc, argv);
+  BenchOptions options = BenchOptions::Parse(argc, argv, {"a", "b", "c"});
   g_time_scale = options.scale;
-  const char* part = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--part=", 7) == 0) part = argv[i] + 7;
-  }
   std::printf("== Table II: system comparison (scale=%g, %d workers x %d "
               "compers) ==\n",
               options.scale, options.workers, options.compers);
-  if (part == nullptr || std::strcmp(part, "a") == 0) PartA(options);
-  if (part == nullptr || std::strcmp(part, "b") == 0) PartB(options);
-  if (part == nullptr || std::strcmp(part, "c") == 0) PartC(options);
+  if (options.RunPart("a")) PartA(options);
+  if (options.RunPart("b")) PartB(options);
+  if (options.RunPart("c")) PartC(options);
   return 0;
 }

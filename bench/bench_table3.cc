@@ -6,8 +6,6 @@
 // flattens, while peak task memory grows only mildly; τ_dfs and τ_D
 // are U-shaped around the paper's defaults (80k / 10k at full scale).
 
-#include <cstring>
-
 #include "bench_util.h"
 
 using namespace treeserver;        // NOLINT
@@ -117,24 +115,21 @@ void SweepTd(const BenchOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = BenchOptions::Parse(argc, argv);
-  const char* part = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--part=", 7) == 0) part = argv[i] + 7;
-  }
+  BenchOptions options =
+      BenchOptions::Parse(argc, argv, {"npool", "tdfs", "td"});
   std::vector<std::string> names = {"Allstate", "Higgs_boson", "KDD99"};
   if (options.quick) names.resize(2);
   int trees = options.quick ? 8 : 20;
 
   std::printf("== Table III: system parameters (scale=%g) ==\n",
               options.scale);
-  if (part == nullptr || std::strcmp(part, "npool") == 0) {
+  if (options.RunPart("npool")) {
     SweepNpool(options, names, trees);
   }
-  if (part == nullptr || std::strcmp(part, "tdfs") == 0) {
+  if (options.RunPart("tdfs")) {
     SweepTdfs(options, names, trees);
   }
-  if (part == nullptr || std::strcmp(part, "td") == 0) {
+  if (options.RunPart("td")) {
     SweepTd(options, names, trees);
   }
   return 0;

@@ -5,8 +5,6 @@
 //   (c) XGBoost-sim with growing tree counts: accuracy keeps improving
 //       (boosting), unlike bagging.
 
-#include <cstring>
-
 #include "baselines/gbdt.h"
 #include "baselines/planet.h"
 #include "bench_util.h"
@@ -93,22 +91,18 @@ void PartC(const BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = BenchOptions::Parse(argc, argv);
+  BenchOptions options = BenchOptions::Parse(argc, argv, {"a", "b", "c"});
   g_time_scale = options.scale;
-  const char* part = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--part=", 7) == 0) part = argv[i] + 7;
-  }
   std::printf("== Table IV: scalability to the number of trees (scale=%g) "
               "==\n",
               options.scale);
-  if (part == nullptr || std::strcmp(part, "a") == 0) {
+  if (options.RunPart("a")) {
     PartAB(options, "MS_LTRC");
   }
-  if (part == nullptr || std::strcmp(part, "b") == 0) {
+  if (options.RunPart("b")) {
     PartAB(options, "c14B");
   }
-  if (part == nullptr || std::strcmp(part, "c") == 0) {
+  if (options.RunPart("c")) {
     PartC(options);
   }
   return 0;

@@ -9,8 +9,6 @@
 // ratio matters little beyond a small fraction — the paper's finding
 // that 20% of columns per tree is already sufficient.
 
-#include <cstring>
-
 #include "bench_util.h"
 
 using namespace treeserver;        // NOLINT
@@ -78,19 +76,15 @@ void SweepColumns(const BenchOptions& options, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchOptions options = BenchOptions::Parse(argc, argv);
-  const char* part = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--part=", 7) == 0) part = argv[i] + 7;
-  }
+  BenchOptions options = BenchOptions::Parse(argc, argv, {"dmax", "cratio"});
   int trees = options.quick ? 8 : 20;
   std::printf("== Table VIII: model parameters (scale=%g) ==\n",
               options.scale);
-  if (part == nullptr || std::strcmp(part, "dmax") == 0) {
+  if (options.RunPart("dmax")) {
     SweepDepth(options, 1);
     SweepDepth(options, trees);
   }
-  if (part == nullptr || std::strcmp(part, "cratio") == 0) {
+  if (options.RunPart("cratio")) {
     SweepColumns(options, "Allstate", trees);
     SweepColumns(options, "Higgs_boson", trees);
   }

@@ -1,6 +1,9 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -32,35 +35,77 @@ void DumpObservabilityAtExit() {
   }
 }
 
+[[noreturn]] void UsageAndExit(const char* prog,
+                               const std::vector<std::string>& parts,
+                               const char* bad_arg) {
+  std::fprintf(stderr, "%s: bad argument '%s'\n", prog, bad_arg);
+  std::fprintf(stderr,
+               "usage: %s [--scale=F] [--quick] [--workers=N] [--compers=N]",
+               prog);
+  if (!parts.empty()) {
+    std::fprintf(stderr, " [--part=");
+    for (size_t i = 0; i < parts.size(); ++i) {
+      std::fprintf(stderr, "%s%s", i == 0 ? "" : "|", parts[i].c_str());
+    }
+    std::fprintf(stderr, "]");
+  }
+  std::fprintf(stderr,
+               "\n       [--trace-out=FILE] [--stats-period=MS] [--stats]\n");
+  std::exit(2);
+}
+
+/// The whole of `s` as an integer in [min, INT_MAX].
+bool ParseInt(const char* s, int min, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || v < min || v > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// The whole of `s` as a finite number > 0.
+bool ParsePositive(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
-BenchOptions BenchOptions::Parse(int argc, char** argv) {
+BenchOptions BenchOptions::Parse(int argc, char** argv,
+                                 const std::vector<std::string>& parts) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      options.scale = std::atof(arg + 8);
+      ok = ParsePositive(arg + 8, &options.scale);
     } else if (std::strcmp(arg, "--quick") == 0) {
       options.quick = true;
       options.scale = std::min(options.scale, 0.0002);
       options.min_rows = 1500;
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      options.workers = std::atoi(arg + 10);
+      ok = ParseInt(arg + 10, 1, &options.workers);
     } else if (std::strncmp(arg, "--compers=", 10) == 0) {
-      options.compers = std::atoi(arg + 10);
+      ok = ParseInt(arg + 10, 1, &options.compers);
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       options.trace_out = arg + 12;
     } else if (std::strncmp(arg, "--stats-period=", 15) == 0) {
-      options.stats_period_ms = std::atoi(arg + 15);
+      ok = ParseInt(arg + 15, 0, &options.stats_period_ms);
     } else if (std::strcmp(arg, "--stats") == 0) {
       options.dump_metrics = true;
-    } else if (std::strcmp(arg, "--split-method=histogram") == 0) {
-      options.split_method = SplitMethod::kHistogram;
-    } else if (std::strcmp(arg, "--split-method=exact") == 0) {
-      options.split_method = SplitMethod::kExact;
-    } else if (std::strncmp(arg, "--max-bins=", 11) == 0) {
-      options.max_bins = std::atoi(arg + 11);
+    } else if (std::strncmp(arg, "--part=", 7) == 0) {
+      options.part = arg + 7;
+      ok = std::find(parts.begin(), parts.end(), options.part) != parts.end();
+    } else {
+      ok = false;
     }
+    if (!ok) UsageAndExit(argv[0], parts, arg);
   }
   if (!options.trace_out.empty() || options.dump_metrics) {
     static bool registered = false;

@@ -21,6 +21,8 @@ namespace bench {
 ///   --quick       even smaller/fewer configurations
 ///   --workers=N   simulated worker machines (default 4)
 ///   --compers=N   computing threads per worker (default 2)
+///   --part=NAME   run one part of a multi-part table (the names are
+///                 listed in each bench's usage)
 ///
 /// Observability knobs:
 ///
@@ -29,10 +31,9 @@ namespace bench {
 ///   --stats-period=MS  run the periodic engine stats reporter
 ///   --stats            dump the process metrics registry at exit
 ///
-/// Split-kernel knobs:
-///
-///   --split-method=exact|histogram   numeric split kernel
-///   --max-bins=N                     histogram bin budget (default 255)
+/// Any other argument, or a value that does not parse (a count below 1,
+/// a scale that is not a positive number), is an error: usage goes to
+/// stderr and the process exits with status 2.
 struct BenchOptions {
   double scale = 0.0005;
   size_t min_rows = 3000;
@@ -42,10 +43,16 @@ struct BenchOptions {
   std::string trace_out;
   int stats_period_ms = 0;
   bool dump_metrics = false;
-  SplitMethod split_method = SplitMethod::kExact;
-  int max_bins = 255;
+  std::string part;  // empty: every part
 
-  static BenchOptions Parse(int argc, char** argv);
+  /// `parts` names the values `--part` accepts; empty rejects `--part`.
+  static BenchOptions Parse(int argc, char** argv,
+                            const std::vector<std::string>& parts = {});
+
+  /// True when `name` should run: no `--part` given, or it names `name`.
+  bool RunPart(const std::string& name) const {
+    return part.empty() || part == name;
+  }
 };
 
 /// A generated dataset with a held-out test split.

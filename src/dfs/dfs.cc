@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <thread>
 
@@ -45,14 +44,6 @@ Status ReadSchemaBody(BinaryReader* r, Schema* out) {
   uint8_t kind;
   TS_RETURN_IF_ERROR(r->Read(&kind));
   *out = Schema(std::move(metas), target, static_cast<TaskKind>(kind));
-  return Status::OK();
-}
-
-Status WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot write " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) return Status::IOError("short write to " + path);
   return Status::OK();
 }
 
@@ -121,8 +112,8 @@ Status LocalDfs::Put(const DataTable& table, const std::string& dataset,
         }
       }
       ChargeOpen();
-      TS_RETURN_IF_ERROR(WriteFileBytes(GroupFile(dataset, cg, rg),
-                                        w.buffer()));
+      TS_RETURN_IF_ERROR(
+          WriteFileAtomic(GroupFile(dataset, cg, rg), w.buffer()));
     }
   }
 
@@ -132,8 +123,8 @@ Status LocalDfs::Put(const DataTable& table, const std::string& dataset,
   w.Write<uint64_t>(layout.rows_per_group);
   w.Write<uint64_t>(n);
   ChargeOpen();
-  return WriteFileBytes(DatasetDir(dataset) + "/" + kManifestFile,
-                        w.buffer());
+  return WriteFileAtomic(DatasetDir(dataset) + "/" + kManifestFile,
+                         w.buffer());
 }
 
 Result<LocalDfs::Manifest> LocalDfs::ReadManifest(

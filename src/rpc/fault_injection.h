@@ -94,7 +94,7 @@ struct FaultSchedule {
 ///
 /// With an Empty() schedule Send() forwards directly to the inner
 /// transport — the only cost is one predictable branch (guarded by the
-/// bench_rpc --chaos-overhead gate).
+/// bench/chaos_overhead gate).
 ///
 /// The decorator does not own the inner transport. Stop() (or the
 /// destructor) joins the delayed-delivery thread and must run before

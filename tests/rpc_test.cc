@@ -808,6 +808,15 @@ TEST(TcpClusterTest, SurvivesKilledWorkerMidJob) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     cluster.KillWorker(2);
     forest = cluster.master->Wait(job);
+    // The job can finish before the heartbeat monitor declares worker 2
+    // dead (10 ms period x 5 misses); wait for that verdict before
+    // reading what it counted.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!cluster.master_tx->IsCrashed(2) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     heartbeat_misses =
         cluster.master_tx->GetStats().endpoints[2].heartbeat_misses;
     EXPECT_TRUE(cluster.master_tx->IsCrashed(2));

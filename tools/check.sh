@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus sanitizer passes.
 #
-#   tools/check.sh          # build + ctest + smoke + TSan + UBSan passes
+#   tools/check.sh          # build + ctest + smokes + TSan + UBSan passes
 #   tools/check.sh --fast   # skip the sanitizer passes
 #
 # The TSan stage rebuilds into build-tsan/ with TS_SANITIZE=thread and
@@ -29,15 +29,18 @@ cmake --build build -j
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
-echo "== serve smoke: quickstart example + quick serving bench =="
+echo "== serve smoke: quickstart example =="
 ./build/examples/serve_quickstart
-./build/bench/bench_serve --quick
 
-echo "== rpc smoke: quick transport bench =="
-./build/bench/bench_rpc --quick
+echo "== perfbench smoke: every workload, traced, with its output checks =="
+# Builds perfbench into build-perfbench/, runs its arithmetic
+# self-test, then each workload's byte-parity checks; non-zero on any
+# mismatch.
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+  --workload all --seed 1 --seconds 2 --trace 1
 
 echo "== chaos smoke: injector overhead guard + fixed-seed mixed profile =="
-./build/bench/bench_rpc --chaos-overhead
+./build/bench/chaos_overhead
 TREESERVER_NODE=./build/tools/treeserver_node \
   CHAOS_PROFILES="mixed" CHAOS_SEED=20260808 \
   bash tools/chaos_test.sh
@@ -51,7 +54,7 @@ TREEFLEET=./build/tools/treefleet \
 
 echo "== observability smoke: top self-test + overhead guard =="
 ./build/tools/treeserver_top --self-test
-./build/bench/bench_micro --obs-overhead
+./build/bench/obs_overhead
 
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="

@@ -1,10 +1,18 @@
-// Command-line helpers shared by the TreeServer CLIs.
+// Helpers shared by the TreeServer CLIs: flag parsing, --peers ports
+// and the bytes written for --out.
 
 #ifndef TREESERVER_TOOLS_CLI_FLAGS_H_
 #define TREESERVER_TOOLS_CLI_FLAGS_H_
 
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
+
+#include "common/logging.h"
+#include "common/serial.h"
+#include "forest/forest.h"
+#include "rpc/transport.h"
 
 namespace treeserver {
 
@@ -31,6 +39,26 @@ inline std::vector<std::string> SplitCommas(const std::string& s) {
     start = comma + 1;
   }
   return out;
+}
+
+/// The listen port of `rank` in a `--peers` list: entries 0..W-1 are
+/// the workers, entry W (= `num_workers`) is the master or router.
+inline uint16_t PortOfPeer(const std::vector<std::string>& peers,
+                           int num_workers, int rank) {
+  size_t idx = rank == kMasterRank ? static_cast<size_t>(num_workers)
+                                   : static_cast<size_t>(rank);
+  TS_CHECK(idx < peers.size()) << "rank not covered by --peers";
+  const std::string& addr = peers[idx];
+  size_t colon = addr.rfind(':');
+  TS_CHECK(colon != std::string::npos) << "bad peer address " << addr;
+  return static_cast<uint16_t>(std::atoi(addr.c_str() + colon + 1));
+}
+
+/// The bytes a CLI writes for `--out`: the forest's own serialization.
+inline std::string SerializeForest(const ForestModel& model) {
+  BinaryWriter w;
+  model.Serialize(&w);
+  return w.Release();
 }
 
 }  // namespace treeserver

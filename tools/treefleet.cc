@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -206,22 +205,12 @@ DataTable MakeTable(const FleetOptions& opt) {
   return GenerateTable(profile, opt.data_seed);
 }
 
-uint16_t PortOfPeerEntry(const FleetOptions& opt, int rank) {
-  size_t idx = rank == kMasterRank ? static_cast<size_t>(opt.workers)
-                                   : static_cast<size_t>(rank);
-  TS_CHECK(idx < opt.peers.size()) << "rank not covered by --peers";
-  const std::string& addr = opt.peers[idx];
-  size_t colon = addr.rfind(':');
-  TS_CHECK(colon != std::string::npos) << "bad peer address " << addr;
-  return static_cast<uint16_t>(std::atoi(addr.c_str() + colon + 1));
-}
-
 std::unique_ptr<TcpTransport> MakeTransport(const FleetOptions& opt,
                                             int rank) {
   TcpTransportOptions topt;
   topt.num_workers = opt.workers;
   topt.local_rank = rank;
-  topt.listen_port = PortOfPeerEntry(opt, rank);
+  topt.listen_port = PortOfPeer(opt.peers, opt.workers, rank);
   topt.heartbeat_period_ms = opt.heartbeat_ms;
   topt.heartbeat_miss_limit = opt.miss_limit;
   return std::make_unique<TcpTransport>(topt);
@@ -258,11 +247,7 @@ int RunTrain(const FleetOptions& opt) {
   spec.column_ratio = 0.7;
   spec.seed = opt.job_seed;
   ForestModel model = TrainForestSerial(table, spec, 2);
-  BinaryWriter w;
-  model.Serialize(&w);
-  std::ofstream out(opt.out, std::ios::binary | std::ios::trunc);
-  if (!out || !out.write(w.buffer().data(),
-                         static_cast<std::streamsize>(w.size()))) {
+  if (!WriteFileAtomic(opt.out, SerializeForest(model)).ok()) {
     std::fprintf(stderr, "train: cannot write %s\n", opt.out.c_str());
     return 1;
   }

@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -268,31 +267,12 @@ ForestJobSpec MakeJob(const NodeOptions& opt) {
   return spec;
 }
 
-bool WriteForest(const ForestModel& model, const std::string& path) {
-  BinaryWriter w;
-  model.Serialize(&w);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(w.buffer().data(), static_cast<std::streamsize>(w.size()));
-  return static_cast<bool>(out);
-}
-
-uint16_t PortOfPeerEntry(const NodeOptions& opt) {
-  size_t idx = opt.rank == kMasterRank
-                   ? static_cast<size_t>(opt.engine.num_workers)
-                   : static_cast<size_t>(opt.rank);
-  TS_CHECK(idx < opt.peers.size()) << "rank not covered by --peers";
-  const std::string& addr = opt.peers[idx];
-  size_t colon = addr.rfind(':');
-  TS_CHECK(colon != std::string::npos) << "bad peer address " << addr;
-  return static_cast<uint16_t>(std::atoi(addr.c_str() + colon + 1));
-}
-
 std::unique_ptr<TcpTransport> MakeTransport(const NodeOptions& opt) {
   TcpTransportOptions topt;
   topt.num_workers = opt.engine.num_workers;
   topt.local_rank = opt.rank;
-  topt.listen_port = PortOfPeerEntry(opt);
+  topt.listen_port =
+      PortOfPeer(opt.peers, opt.engine.num_workers, opt.rank);
   topt.heartbeat_period_ms = opt.heartbeat_ms;
   topt.heartbeat_miss_limit = opt.miss_limit;
   topt.generation = opt.generation;
@@ -419,7 +399,8 @@ int RunInproc(const NodeOptions& opt) {
   if (opt.trace) Tracer::Global().Enable();
   TreeServerCluster cluster(MakeTable(opt), opt.engine);
   ForestModel model = cluster.TrainForest(MakeJob(opt));
-  if (!opt.out.empty() && !WriteForest(model, opt.out)) {
+  if (!opt.out.empty() &&
+      !WriteFileAtomic(opt.out, SerializeForest(model)).ok()) {
     std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
     return 1;
   }
@@ -547,7 +528,8 @@ int RunMaster(const NodeOptions& opt) {
   }
   if (reporter != nullptr) reporter->ReportNow("job-complete");
   reporter.reset();
-  if (!opt.out.empty() && !WriteForest(model, opt.out)) {
+  if (!opt.out.empty() &&
+      !WriteFileAtomic(opt.out, SerializeForest(model)).ok()) {
     std::fprintf(stderr, "master: cannot write %s\n", opt.out.c_str());
     return 1;
   }
