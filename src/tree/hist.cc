@@ -1,7 +1,5 @@
 #include "tree/hist.h"
 
-#include <limits>
-
 #include "common/logging.h"
 #include "common/metrics_registry.h"
 
@@ -43,14 +41,10 @@ void AccumulateCls(const Code* codes, const int32_t* labels,
 /// order, so the double sums are reproducible bit for bit.
 template <typename Code>
 void AccumulateReg(const Code* codes, const double* y, const uint32_t* rows,
-                   size_t n, HistRegBin* bins) {
+                   size_t n, RegStats* bins) {
   for (size_t i = 0; i < n; ++i) {
     const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    HistRegBin& rb = bins[codes[row]];
-    const double v = y[row];
-    ++rb.n;
-    rb.sum += v;
-    rb.sum_sq += v * v;
+    bins[codes[row]].Add(y[row]);
   }
 }
 
@@ -91,7 +85,7 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
         AccumulateCls(bc->codes8_data(), labels, rows, n, c, h.cls_.data());
       }
     } else {
-      h.reg_.assign(h.slots_, HistRegBin{});
+      h.reg_.assign(h.slots_, RegStats());
       if (bc->wide()) {
         AccumulateReg(bc->codes16_data(), y, rows, n, h.reg_.data());
       } else {
@@ -114,19 +108,13 @@ NodeHistogram NodeHistogram::Subtract(const NodeHistogram& parent,
       h.cls_[i] = parent.cls_[i] - child.cls_[i];
     }
   }
-  if (!parent.reg_.empty()) {
-    h.reg_.resize(parent.reg_.size());
-    for (size_t i = 0; i < parent.reg_.size(); ++i) {
-      h.reg_[i].n = parent.reg_[i].n - child.reg_[i].n;
-      h.reg_[i].sum = parent.reg_[i].sum - child.reg_[i].sum;
-      h.reg_[i].sum_sq = parent.reg_[i].sum_sq - child.reg_[i].sum_sq;
-    }
-  }
+  h.reg_ = parent.reg_;
+  for (size_t i = 0; i < h.reg_.size(); ++i) h.reg_[i].Subtract(child.reg_[i]);
   return h;
 }
 
 size_t NodeHistogram::ByteSize() const {
-  return cls_.size() * sizeof(int64_t) + reg_.size() * sizeof(HistRegBin);
+  return cls_.size() * sizeof(int64_t) + reg_.size() * sizeof(RegStats);
 }
 
 SplitOutcome NodeHistogram::BestSplit(const BinnedColumn& binned,
@@ -134,120 +122,49 @@ SplitOutcome NodeHistogram::BestSplit(const BinnedColumn& binned,
                                       const SplitContext& ctx) const {
   TS_DCHECK(slots_ == binned.missing_code() + 1);
   SplitOutcome out;
-  const int num_value_bins = slots_ - 1;
-
+  TargetStats missing;
+  // One step per value bin; the missing bin (last) is not scanned.
+  const size_t num_value_bins = static_cast<size_t>(slots_) - 1;
+  size_t best = num_value_bins;
   if (ctx.kind == TaskKind::kClassification) {
     const int c = num_classes_;
-    TargetStats missing = TargetStats::Classification(c);
-    for (int j = 0; j < c; ++j) {
-      int64_t cnt = cls_[static_cast<size_t>(num_value_bins) * c + j];
-      missing.cls.counts[j] = cnt;
-      missing.cls.n += cnt;
+    auto bin = [&](size_t b) { return &cls_[b * c]; };
+    missing = TargetStats::Classification(c);
+    for (int j = 0; j < c; ++j) missing.cls.Add(j, bin(num_value_bins)[j]);
+    CutScan<ClassStats>& scan = ThreadCutScan<ClassStats>();
+    scan.total.Reset(c);
+    for (size_t b = 0; b < num_value_bins; ++b) {
+      for (int j = 0; j < c; ++j) scan.total.Add(j, bin(b)[j]);
     }
-    ClassStats total(c);
-    for (int b = 0; b < num_value_bins; ++b) {
+    auto step = [&](size_t b, ClassStats* left, ClassStats* right) {
+      int64_t moved = 0;
       for (int j = 0; j < c; ++j) {
-        int64_t cnt = cls_[static_cast<size_t>(b) * c + j];
-        total.counts[j] += cnt;
-        total.n += cnt;
+        left->Add(j, bin(b)[j]);
+        right->Remove(j, bin(b)[j]);
+        moved += bin(b)[j];
       }
-    }
-    if (total.n < 2) return out;
-
-    ClassStats left(c);
-    ClassStats right = total;
-    ClassStats best_left(c);
-    double best_score = std::numeric_limits<double>::infinity();
-    int best_bin = -1;
-    const double kd = static_cast<double>(total.n);
-    for (int b = 0; b < num_value_bins; ++b) {
-      int64_t bn = 0;
-      for (int j = 0; j < c; ++j) {
-        int64_t cnt = cls_[static_cast<size_t>(b) * c + j];
-        left.counts[j] += cnt;
-        right.counts[j] -= cnt;
-        bn += cnt;
-      }
-      if (bn == 0) continue;  // empty bin: not a distinct-value boundary
-      left.n += bn;
-      right.n -= bn;
-      if (right.n == 0) break;  // no data to the right: not a cut
-      double score = (static_cast<double>(left.n) *
-                          left.ImpurityValue(ctx.impurity) +
-                      static_cast<double>(right.n) *
-                          right.ImpurityValue(ctx.impurity)) /
-                     kd;
-      if (score < best_score) {
-        best_score = score;
-        best_bin = b;
-        best_left = left;
-      }
-    }
-    if (best_bin < 0) return out;  // all rows in one bin
-
-    out.left_stats = TargetStats::Classification(c);
-    out.left_stats.cls = best_left;
-    out.right_stats = TargetStats::Classification(c);
-    out.right_stats.cls = total;
-    for (int j = 0; j < c; ++j) {
-      out.right_stats.cls.counts[j] -= best_left.counts[j];
-    }
-    out.right_stats.cls.n -= best_left.n;
-    out.condition.column = column_index;
-    out.condition.type = DataType::kNumeric;
-    out.condition.threshold = binned.upper(best_bin);
-    FinishSplitOutcome(ctx, missing, &out);
-    return out;
+      return moved;
+    };
+    best = ScanCuts(ctx, num_value_bins, step, &scan, &out);
+  } else {
+    missing = TargetStats::Of(reg_[num_value_bins]);
+    CutScan<RegStats>& scan = ThreadCutScan<RegStats>();
+    scan.total = RegStats();
+    for (size_t b = 0; b < num_value_bins; ++b) scan.total.Merge(reg_[b]);
+    // An empty bin moves nothing, not even the rounding residue a bin
+    // derived by Subtract can hold.
+    auto step = [&](size_t b, RegStats* left, RegStats* right) -> int64_t {
+      if (reg_[b].n == 0) return 0;
+      left->Merge(reg_[b]);
+      right->Subtract(reg_[b]);
+      return reg_[b].n;
+    };
+    best = ScanCuts(ctx, num_value_bins, step, &scan, &out);
   }
-
-  TargetStats missing = TargetStats::Regression();
-  missing.reg.n = reg_[num_value_bins].n;
-  missing.reg.sum = reg_[num_value_bins].sum;
-  missing.reg.sum_sq = reg_[num_value_bins].sum_sq;
-  RegStats total;
-  for (int b = 0; b < num_value_bins; ++b) {
-    total.n += reg_[b].n;
-    total.sum += reg_[b].sum;
-    total.sum_sq += reg_[b].sum_sq;
-  }
-  if (total.n < 2) return out;
-
-  RegStats left;
-  RegStats right = total;
-  RegStats best_left;
-  double best_score = std::numeric_limits<double>::infinity();
-  int best_bin = -1;
-  const double kd = static_cast<double>(total.n);
-  for (int b = 0; b < num_value_bins; ++b) {
-    const HistRegBin& rb = reg_[b];
-    if (rb.n == 0) continue;
-    left.n += rb.n;
-    left.sum += rb.sum;
-    left.sum_sq += rb.sum_sq;
-    right.n -= rb.n;
-    right.sum -= rb.sum;
-    right.sum_sq -= rb.sum_sq;
-    if (right.n == 0) break;
-    double score = (static_cast<double>(left.n) * left.Variance() +
-                    static_cast<double>(right.n) * right.Variance()) /
-                   kd;
-    if (score < best_score) {
-      best_score = score;
-      best_bin = b;
-      best_left = left;
-    }
-  }
-  if (best_bin < 0) return out;
-
-  out.left_stats = TargetStats::Regression();
-  out.left_stats.reg = best_left;
-  out.right_stats = TargetStats::Regression();
-  out.right_stats.reg.n = total.n - best_left.n;
-  out.right_stats.reg.sum = total.sum - best_left.sum;
-  out.right_stats.reg.sum_sq = total.sum_sq - best_left.sum_sq;
+  if (best == num_value_bins) return out;  // all rows in one bin
   out.condition.column = column_index;
   out.condition.type = DataType::kNumeric;
-  out.condition.threshold = binned.upper(best_bin);
+  out.condition.threshold = binned.upper(static_cast<int>(best));
   FinishSplitOutcome(ctx, missing, &out);
   return out;
 }

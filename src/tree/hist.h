@@ -10,27 +10,19 @@
 
 namespace treeserver {
 
-/// One regression histogram bin: row count plus target sum and sum of
-/// squares.
-struct HistRegBin {
-  int64_t n = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-};
-
 /// Per-node histogram of one binned numeric column: class counts per
 /// bin (classification) or (count, sum, sum of squares) per bin
 /// (regression), with the missing bin last. Built in one O(n) pass
 /// over the bin codes and scanned in O(bins) by BestSplit.
 ///
-/// The scan mirrors the exact kernel's semantics exactly — candidate
-/// cuts after each non-empty bin with data to its right, strict-<
-/// improvement keeps the earliest cut, score over non-missing rows,
-/// threshold = the largest actual column value in the cut bin — so
-/// when every distinct value has its own bin (distinct <= max_bins)
-/// the outcome reproduces the exact split bit for bit (classification
-/// always; regression when target sums carry no rounding, e.g.
-/// integer-valued targets).
+/// BestSplit runs the exact kernel's cut scan (ScanCuts, split.h) with
+/// one step per bin, so the two agree by construction: when every
+/// distinct value has its own bin (distinct <= max_bins) a bin is a run
+/// of tied values and the outcome reproduces the exact split bit for
+/// bit (classification always; regression when target sums carry no
+/// rounding, e.g. integer-valued targets). Per kernel stay only the
+/// steps, the totals and the threshold: the largest actual column
+/// value in the cut bin.
 ///
 /// Sibling subtraction (the LightGBM trick): `parent - child` equals
 /// the direct build of the other child. For classification the counts
@@ -84,14 +76,14 @@ class NodeHistogram {
   /// num_classes entries, bin-major. Regression: slots() entries.
   const int64_t* cls_data() const { return cls_.data(); }
   size_t cls_size() const { return cls_.size(); }
-  const HistRegBin* reg_data() const { return reg_.data(); }
+  const RegStats* reg_data() const { return reg_.data(); }
   size_t reg_size() const { return reg_.size(); }
 
  private:
   int slots_ = 0;        // num_bins + 1 (missing bin last)
   int num_classes_ = 0;  // 0 for regression
   std::vector<int64_t> cls_;    // slots_ * num_classes_, bin-major
-  std::vector<HistRegBin> reg_;  // slots_
+  std::vector<RegStats> reg_;    // slots_
 };
 
 /// A node's histograms, parallel to its candidate-column list; entries

@@ -21,10 +21,18 @@ const char* ImpurityName(Impurity impurity);
 /// Per-class counts of a row set; the sufficient statistic for
 /// classification impurity.
 struct ClassStats {
+  using Value = int32_t;  // what Add/Remove take: a class label
+
   std::vector<int64_t> counts;
   int64_t n = 0;
 
   explicit ClassStats(int num_classes = 0) : counts(num_classes, 0) {}
+
+  /// Zero counts for `num_classes` classes, reusing the storage.
+  void Reset(int num_classes) {
+    counts.assign(num_classes, 0);
+    n = 0;
+  }
 
   void Add(int32_t label, int64_t weight = 1) {
     counts[label] += weight;
@@ -37,6 +45,10 @@ struct ClassStats {
   void Merge(const ClassStats& other) {
     for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
     n += other.n;
+  }
+  void Subtract(const ClassStats& other) {
+    for (size_t i = 0; i < counts.size(); ++i) counts[i] -= other.counts[i];
+    n -= other.n;
   }
 
   bool IsPure() const {
@@ -93,11 +105,16 @@ struct ClassStats {
 };
 
 /// Sum/sum-of-squares of a row set; the sufficient statistic for
-/// regression (variance) impurity.
+/// regression (variance) impurity. Also one regression histogram bin.
 struct RegStats {
+  using Value = double;  // what Add/Remove take: a target value
+
   int64_t n = 0;
   double sum = 0.0;
   double sum_sq = 0.0;
+
+  /// Zero; the class count is unused (same call as ClassStats::Reset).
+  void Reset(int /*num_classes*/) { *this = RegStats(); }
 
   void Add(double y) {
     ++n;
@@ -114,6 +131,11 @@ struct RegStats {
     sum += other.sum;
     sum_sq += other.sum_sq;
   }
+  void Subtract(const RegStats& other) {
+    n -= other.n;
+    sum -= other.sum;
+    sum_sq -= other.sum_sq;
+  }
 
   double Mean() const {
     return n == 0 ? 0.0 : sum / static_cast<double>(n);
@@ -127,8 +149,20 @@ struct RegStats {
     return v > 0.0 ? v : 0.0;
   }
 
+  double ImpurityValue(Impurity /*variance*/) const { return Variance(); }
+
   bool IsPure() const { return n <= 1 || Variance() <= 1e-12; }
 };
+
+/// Weighted impurity of the two sides of a cut of `n` rows: the score
+/// every split kernel minimises.
+template <typename Stats>
+double WeightedImpurity(const Stats& left, const Stats& right,
+                        Impurity impurity, double n) {
+  return (static_cast<double>(left.n) * left.ImpurityValue(impurity) +
+          static_cast<double>(right.n) * right.ImpurityValue(impurity)) /
+         n;
+}
 
 }  // namespace treeserver
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
@@ -163,44 +164,44 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Case 1 (Appendix B): ordinal attribute, any target. Sort the
-// non-missing (value, y) pairs and scan once, updating left/right
-// sufficient statistics in O(1) per step.
+// non-missing (value, y) pairs and scan once; each step is one run of
+// tied values, so a cut never separates equal values.
 // ---------------------------------------------------------------------
 
-struct NumericPairCls {
+template <typename Stats>
+struct NumericPair {
   double v;
-  int32_t y;
-};
-struct NumericPairReg {
-  double v;
-  double y;
+  typename Stats::Value y;
 };
 
-// Thread-local scratch arena for the exact kernels: the pair buffers
-// and per-category stat tables are reused across calls, so steady-state
-// split evaluation performs no heap allocation proportional to the node
-// size. Each comper thread owns one arena; kernels never nest.
+// Thread-local scratch arena for the exact kernels, one per stats type:
+// the pair buffer and per-category stat tables are reused across calls,
+// so steady-state split evaluation performs no heap allocation
+// proportional to the node size. Each comper thread owns one arena;
+// kernels never nest.
+template <typename Stats>
 struct ExactScratch {
-  std::vector<NumericPairCls> cls_pairs;
-  std::vector<NumericPairReg> reg_pairs;
-  std::vector<ClassStats> per_cat_cls;
-  std::vector<RegStats> per_cat_reg;
+  std::vector<NumericPair<Stats>> pairs;
+  std::vector<Stats> per_cat;
   std::vector<int32_t> seen;
   std::vector<int32_t> order;
-  ClassStats left;
-  ClassStats right;
-  ClassStats total;
-  ClassStats best_left;
+  Stats total;  // CategoricalClassification's one-vs-rest sums
+  Stats rest;
 };
 
-ExactScratch& Scratch() {
-  static thread_local ExactScratch s;
+template <typename Stats>
+ExactScratch<Stats>& Scratch() {
+  static thread_local ExactScratch<Stats> s;
   return s;
 }
 
-void ResetClassStats(ClassStats* s, int num_classes) {
-  s->counts.assign(num_classes, 0);
-  s->n = 0;
+template <typename Stats>
+typename Stats::Value TargetAt(const Column& target, uint32_t row) {
+  if constexpr (std::is_same_v<Stats, ClassStats>) {
+    return target.category_at(row);
+  } else {
+    return target.numeric_at(row);
+  }
 }
 
 Counter* ExactSortsCounter() {
@@ -209,13 +210,12 @@ Counter* ExactSortsCounter() {
   return c;
 }
 
-SplitOutcome NumericBestClassification(const Column& feature, int column_index,
-                                       const Column& target,
-                                       const SplitContext& ctx,
-                                       const uint32_t* rows, size_t n) {
+template <typename Stats>
+SplitOutcome NumericBest(const Column& feature, int column_index,
+                         const Column& target, const SplitContext& ctx,
+                         const uint32_t* rows, size_t n) {
   SplitOutcome out;
-  ExactScratch& s = Scratch();
-  std::vector<NumericPairCls>& pairs = s.cls_pairs;
+  std::vector<NumericPair<Stats>>& pairs = Scratch<Stats>().pairs;
   pairs.clear();
   pairs.reserve(n);
   TargetStats missing = MakeStats(ctx);
@@ -225,118 +225,38 @@ SplitOutcome NumericBestClassification(const Column& feature, int column_index,
     if (IsMissingNumeric(v)) {
       AddRow(&missing, target, row);
     } else {
-      pairs.push_back({v, target.category_at(row)});
+      pairs.push_back({v, TargetAt<Stats>(target, row)});
     }
   }
   const size_t k = pairs.size();
   if (k < 2) return out;
   std::sort(pairs.begin(), pairs.end(),
-            [](const NumericPairCls& a, const NumericPairCls& b) {
+            [](const NumericPair<Stats>& a, const NumericPair<Stats>& b) {
               return a.v < b.v;
             });
   ExactSortsCounter()->Inc();
 
-  ResetClassStats(&s.left, ctx.num_classes);
-  ResetClassStats(&s.total, ctx.num_classes);
-  for (const NumericPairCls& p : pairs) s.total.Add(p.y);
-  s.right = s.total;
-  ResetClassStats(&s.best_left, ctx.num_classes);
-
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best_idx = k;  // sentinel: no candidate
-  const double kd = static_cast<double>(k);
-  for (size_t i = 0; i + 1 < k; ++i) {
-    s.left.Add(pairs[i].y);
-    s.right.Remove(pairs[i].y);
-    if (pairs[i].v == pairs[i + 1].v) continue;
-    double score = (static_cast<double>(s.left.n) *
-                        s.left.ImpurityValue(ctx.impurity) +
-                    static_cast<double>(s.right.n) *
-                        s.right.ImpurityValue(ctx.impurity)) /
-                   kd;
-    if (score < best_score) {
-      best_score = score;
-      best_idx = i;
-      s.best_left = s.left;
+  CutScan<Stats>& scan = ThreadCutScan<Stats>();
+  scan.total.Reset(ctx.num_classes);
+  for (const NumericPair<Stats>& p : pairs) scan.total.Add(p.y);
+  // Step i ends at pair i: empty inside a run of ties, else it moves
+  // the run's rows one at a time.
+  size_t run_start = 0;
+  auto step = [&](size_t i, Stats* left, Stats* right) -> int64_t {
+    if (i + 1 < k && pairs[i].v == pairs[i + 1].v) return 0;
+    for (size_t j = run_start; j <= i; ++j) {
+      left->Add(pairs[j].y);
+      right->Remove(pairs[j].y);
     }
-  }
-  if (best_idx == k) return out;  // all values identical
-
-  out.left_stats = MakeStats(ctx);
-  out.left_stats.cls = s.best_left;
-  out.right_stats = MakeStats(ctx);
-  out.right_stats.cls = s.total;
-  for (size_t j = 0; j < s.best_left.counts.size(); ++j) {
-    out.right_stats.cls.counts[j] -= s.best_left.counts[j];
-  }
-  out.right_stats.cls.n -= s.best_left.n;
+    const int64_t moved = static_cast<int64_t>(i + 1 - run_start);
+    run_start = i + 1;
+    return moved;
+  };
+  const size_t best = ScanCuts(ctx, k, step, &scan, &out);
+  if (best == k) return out;  // all values identical
   out.condition.column = column_index;
   out.condition.type = DataType::kNumeric;
-  out.condition.threshold = pairs[best_idx].v;
-  FinishSplitOutcome(ctx, missing, &out);
-  return out;
-}
-
-SplitOutcome NumericBestRegression(const Column& feature, int column_index,
-                                   const Column& target,
-                                   const SplitContext& ctx,
-                                   const uint32_t* rows, size_t n) {
-  SplitOutcome out;
-  ExactScratch& s = Scratch();
-  std::vector<NumericPairReg>& pairs = s.reg_pairs;
-  pairs.clear();
-  pairs.reserve(n);
-  TargetStats missing = MakeStats(ctx);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    double v = feature.numeric_at(row);
-    if (IsMissingNumeric(v)) {
-      AddRow(&missing, target, row);
-    } else {
-      pairs.push_back({v, target.numeric_at(row)});
-    }
-  }
-  const size_t k = pairs.size();
-  if (k < 2) return out;
-  std::sort(pairs.begin(), pairs.end(),
-            [](const NumericPairReg& a, const NumericPairReg& b) {
-              return a.v < b.v;
-            });
-  ExactSortsCounter()->Inc();
-
-  RegStats total;
-  for (const NumericPairReg& p : pairs) total.Add(p.y);
-  RegStats left;
-  RegStats right = total;
-  RegStats best_left;
-
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best_idx = k;
-  const double kd = static_cast<double>(k);
-  for (size_t i = 0; i + 1 < k; ++i) {
-    left.Add(pairs[i].y);
-    right.Remove(pairs[i].y);
-    if (pairs[i].v == pairs[i + 1].v) continue;
-    double score = (static_cast<double>(left.n) * left.Variance() +
-                    static_cast<double>(right.n) * right.Variance()) /
-                   kd;
-    if (score < best_score) {
-      best_score = score;
-      best_idx = i;
-      best_left = left;
-    }
-  }
-  if (best_idx == k) return out;
-
-  out.left_stats = MakeStats(ctx);
-  out.left_stats.reg = best_left;
-  out.right_stats = MakeStats(ctx);
-  out.right_stats.reg.n = total.n - best_left.n;
-  out.right_stats.reg.sum = total.sum - best_left.sum;
-  out.right_stats.reg.sum_sq = total.sum_sq - best_left.sum_sq;
-  out.condition.column = column_index;
-  out.condition.type = DataType::kNumeric;
-  out.condition.threshold = pairs[best_idx].v;
+  out.condition.threshold = pairs[best].v;
   FinishSplitOutcome(ctx, missing, &out);
   return out;
 }
@@ -351,15 +271,13 @@ SplitOutcome CategoricalClassification(const Column& feature, int column_index,
                                        const SplitContext& ctx,
                                        const uint32_t* rows, size_t n) {
   SplitOutcome out;
-  ExactScratch& s = Scratch();
+  ExactScratch<ClassStats>& s = Scratch<ClassStats>();
   const int32_t card = feature.cardinality();
-  std::vector<ClassStats>& per_cat = s.per_cat_cls;
+  std::vector<ClassStats>& per_cat = s.per_cat;
   if (per_cat.size() < static_cast<size_t>(card)) per_cat.resize(card);
-  for (int32_t c = 0; c < card; ++c) {
-    ResetClassStats(&per_cat[c], ctx.num_classes);
-  }
-  ResetClassStats(&s.total, ctx.num_classes);
+  for (int32_t c = 0; c < card; ++c) per_cat[c].Reset(ctx.num_classes);
   ClassStats& total = s.total;
+  total.Reset(ctx.num_classes);
   TargetStats missing = MakeStats(ctx);
   for (size_t i = 0; i < n; ++i) {
     uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
@@ -383,18 +301,11 @@ SplitOutcome CategoricalClassification(const Column& feature, int column_index,
   double best_score = std::numeric_limits<double>::infinity();
   int32_t best_cat = -1;
   const double total_n = static_cast<double>(total.n);
-  ClassStats& rest = s.left;
+  ClassStats& rest = s.rest;
   for (int32_t c : seen) {
     rest = total;
-    for (size_t j = 0; j < rest.counts.size(); ++j) {
-      rest.counts[j] -= per_cat[c].counts[j];
-    }
-    rest.n -= per_cat[c].n;
-    double score = (static_cast<double>(per_cat[c].n) *
-                        per_cat[c].ImpurityValue(ctx.impurity) +
-                    static_cast<double>(rest.n) *
-                        rest.ImpurityValue(ctx.impurity)) /
-                   total_n;
+    rest.Subtract(per_cat[c]);
+    double score = WeightedImpurity(per_cat[c], rest, ctx.impurity, total_n);
     if (score < best_score) {
       best_score = score;
       best_cat = c;
@@ -402,14 +313,9 @@ SplitOutcome CategoricalClassification(const Column& feature, int column_index,
   }
   TS_DCHECK(best_cat >= 0);
 
-  out.left_stats = MakeStats(ctx);
-  out.right_stats = MakeStats(ctx);
-  out.left_stats.cls = per_cat[best_cat];
-  out.right_stats.cls = total;
-  for (size_t j = 0; j < total.counts.size(); ++j) {
-    out.right_stats.cls.counts[j] -= per_cat[best_cat].counts[j];
-  }
-  out.right_stats.cls.n -= per_cat[best_cat].n;
+  out.left_stats = TargetStats::Of(per_cat[best_cat]);
+  out.right_stats = TargetStats::Of(total);
+  out.right_stats.cls.Subtract(per_cat[best_cat]);
   out.condition.column = column_index;
   out.condition.type = DataType::kCategorical;
   out.condition.left_categories = {best_cat};
@@ -429,9 +335,9 @@ SplitOutcome CategoricalRegression(const Column& feature, int column_index,
                                    const SplitContext& ctx,
                                    const uint32_t* rows, size_t n) {
   SplitOutcome out;
-  ExactScratch& s = Scratch();
+  ExactScratch<RegStats>& s = Scratch<RegStats>();
   const int32_t card = feature.cardinality();
-  std::vector<RegStats>& per_cat = s.per_cat_reg;
+  std::vector<RegStats>& per_cat = s.per_cat;
   per_cat.assign(card, RegStats());
   TargetStats missing = MakeStats(ctx);
   for (size_t i = 0; i < n; ++i) {
@@ -457,41 +363,26 @@ SplitOutcome CategoricalRegression(const Column& feature, int column_index,
     return per_cat[a].Mean() < per_cat[b].Mean();
   });
 
-  RegStats total;
-  for (int32_t c : seen) total.Merge(per_cat[c]);
+  CutScan<RegStats>& scan = ThreadCutScan<RegStats>();
+  scan.total = RegStats();
+  for (int32_t c : seen) scan.total.Merge(per_cat[c]);
+  auto step = [&](size_t i, RegStats* left, RegStats* right) {
+    const RegStats& cat = per_cat[order[i]];
+    left->Merge(cat);
+    right->Subtract(cat);
+    return cat.n;
+  };
+  const size_t best = ScanCuts(ctx, order.size(), step, &scan, &out);
+  if (best == order.size()) return out;
 
-  RegStats left;
-  RegStats right = total;
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best_prefix = 0;  // 0 = no candidate
-  const double total_n = static_cast<double>(total.n);
-  for (size_t i = 0; i + 1 < order.size(); ++i) {
-    left.Merge(per_cat[order[i]]);
-    right.n -= per_cat[order[i]].n;
-    right.sum -= per_cat[order[i]].sum;
-    right.sum_sq -= per_cat[order[i]].sum_sq;
-    double score = (static_cast<double>(left.n) * left.Variance() +
-                    static_cast<double>(right.n) * right.Variance()) /
-                   total_n;
-    if (score < best_score) {
-      best_score = score;
-      best_prefix = i + 1;
-    }
+  // The right child is the merge of its own categories, not total -
+  // left: that rounds differently and would move regression forests.
+  out.right_stats.reg = RegStats();
+  for (size_t i = best + 1; i < order.size(); ++i) {
+    out.right_stats.reg.Merge(per_cat[order[i]]);
   }
-  if (best_prefix == 0) return out;
-
-  std::vector<int32_t> left_cats(order.begin(), order.begin() + best_prefix);
+  std::vector<int32_t> left_cats(order.begin(), order.begin() + best + 1);
   std::sort(left_cats.begin(), left_cats.end());
-
-  out.left_stats = MakeStats(ctx);
-  out.right_stats = MakeStats(ctx);
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i < best_prefix) {
-      out.left_stats.reg.Merge(per_cat[order[i]]);
-    } else {
-      out.right_stats.reg.Merge(per_cat[order[i]]);
-    }
-  }
   out.condition.column = column_index;
   out.condition.type = DataType::kCategorical;
   out.condition.left_categories = std::move(left_cats);
@@ -517,9 +408,9 @@ SplitOutcome FindBestSplit(const Column& feature, int column_index,
                            const uint32_t* rows, size_t n) {
   if (feature.type() == DataType::kNumeric) {
     return ctx.kind == TaskKind::kClassification
-               ? NumericBestClassification(feature, column_index, target, ctx,
-                                           rows, n)
-               : NumericBestRegression(feature, column_index, target, ctx,
+               ? NumericBest<ClassStats>(feature, column_index, target, ctx,
+                                         rows, n)
+               : NumericBest<RegStats>(feature, column_index, target, ctx,
                                        rows, n);
   }
   return ctx.kind == TaskKind::kClassification

@@ -2,6 +2,8 @@
 #define TREESERVER_TREE_SPLIT_H_
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,17 +59,22 @@ struct TargetStats {
   ClassStats cls;
   RegStats reg;
 
-  static TargetStats Classification(int num_classes) {
+  static TargetStats Of(ClassStats cls) {
     TargetStats s;
     s.kind = TaskKind::kClassification;
-    s.cls = ClassStats(num_classes);
+    s.cls = std::move(cls);
     return s;
   }
-  static TargetStats Regression() {
+  static TargetStats Of(const RegStats& reg) {
     TargetStats s;
     s.kind = TaskKind::kRegression;
+    s.reg = reg;
     return s;
   }
+  static TargetStats Classification(int num_classes) {
+    return Of(ClassStats(num_classes));
+  }
+  static TargetStats Regression() { return Of(RegStats()); }
 
   int64_t Count() const {
     return kind == TaskKind::kClassification ? cls.n : reg.n;
@@ -142,6 +149,65 @@ void FinishSplitOutcome(const SplitContext& ctx, const TargetStats& missing,
 /// nullptr to mean all rows [0, n)).
 TargetStats ComputeTargetStats(const Column& target, const SplitContext& ctx,
                                const uint32_t* rows, size_t n);
+
+/// Working state of one cut scan. `total` is filled by the caller; the
+/// rest is the scan's own. Reused per thread (ThreadCutScan), so the
+/// scan itself allocates nothing in steady state.
+template <typename Stats>
+struct CutScan {
+  Stats total;  // every non-missing row of the node
+  Stats left;
+  Stats right;
+  Stats best_left;
+};
+
+/// This thread's scan state for `Stats`; split kernels never nest, so
+/// one per thread suffices.
+template <typename Stats>
+CutScan<Stats>& ThreadCutScan() {
+  static thread_local CutScan<Stats> scan;
+  return scan;
+}
+
+/// The cut scan shared by every prefix-scan split kernel: exact
+/// numeric (Appendix B case 1), categorical regression (case 2) and
+/// the histogram kernel. The caller supplies the steps — runs of equal
+/// sorted values, bins, or mean-ordered categories — as `step(i, &left,
+/// &right)`, which moves step i's rows from right to left and returns
+/// how many it moved, in the float order the caller's sums require.
+/// The scan owns the rest of the decision:
+///  - a cut may follow each non-empty step that has rows to its right;
+///  - its score is WeightedImpurity over the non-missing rows;
+///  - a strictly smaller score wins, so the earliest cut wins a tie;
+///  - the winner's children are best_left and total - best_left.
+/// Returns the winning step with `out`'s left/right stats set, or
+/// `num_steps` (and `out` untouched) when no cut exists.
+template <typename Stats, typename Step>
+size_t ScanCuts(const SplitContext& ctx, size_t num_steps, Step&& step,
+                CutScan<Stats>* scan, SplitOutcome* out) {
+  scan->left.Reset(ctx.num_classes);
+  scan->right = scan->total;
+  const double n = static_cast<double>(scan->total.n);
+  double best_score = std::numeric_limits<double>::infinity();
+  size_t best = num_steps;
+  for (size_t i = 0; i < num_steps; ++i) {
+    if (step(i, &scan->left, &scan->right) == 0) continue;
+    if (scan->right.n == 0) break;
+    const double score =
+        WeightedImpurity(scan->left, scan->right, ctx.impurity, n);
+    if (score < best_score) {
+      best_score = score;
+      best = i;
+      scan->best_left = scan->left;
+    }
+  }
+  if (best == num_steps) return best;
+  Stats right = scan->total;
+  right.Subtract(scan->best_left);
+  out->left_stats = TargetStats::Of(scan->best_left);
+  out->right_stats = TargetStats::Of(std::move(right));
+  return best;
+}
 
 /// Finds the exact best split of one attribute over the given rows
 /// (Appendix B): one sorted pass for ordinal attributes, Breiman's

@@ -281,6 +281,57 @@ TEST(NodeHistogramTest, SubtractionMatchesDirectBuild) {
   }
 }
 
+TEST(NodeHistogramTest, EmptyDerivedRegressionBinAddsNothing) {
+  // A bin emptied by a chain of Subtract calls has n == 0 but can keep a
+  // rounding residue in its sums; the scan must skip it like a built
+  // empty bin, or the residue leaks into the left child.
+  Rng rng(5);
+  const size_t n = 400;
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  for (size_t r = 0; r < n; ++r) {
+    x[r] = static_cast<double>(rng.Uniform(4));
+    y[r] = rng.UniformDouble(-10.0, 10.0);
+  }
+  auto feature = Column::Numeric("x", x);
+  auto target = Column::Numeric("y", y);
+  auto binned = BinnedColumn::Build(*feature, 255);
+  const SplitContext ctx = RegCtx();
+  // parent -> {even, odd}; odd -> {odd rows of bin 0 and every third, rest}.
+  std::vector<uint32_t> even;
+  std::vector<uint32_t> odd_first;
+  for (uint32_t r = 0; r < n; ++r) {
+    if (r % 2 == 0) {
+      even.push_back(r);
+    } else if (x[r] == 0.0 || r % 3 == 0) {
+      odd_first.push_back(r);
+    }
+  }
+  NodeHistogram parent =
+      NodeHistogram::Build(*binned, *target, ctx, nullptr, n);
+  NodeHistogram odd = NodeHistogram::Subtract(
+      parent, NodeHistogram::Build(*binned, *target, ctx, even.data(),
+                                   even.size()));
+  NodeHistogram rest = NodeHistogram::Subtract(
+      odd, NodeHistogram::Build(*binned, *target, ctx, odd_first.data(),
+                                odd_first.size()));
+  const RegStats* bins = rest.reg_data();
+  ASSERT_EQ(bins[0].n, 0);
+  ASSERT_NE(bins[0].sum, 0.0);  // the residue this test is about
+
+  SplitOutcome out = rest.BestSplit(*binned, 0, ctx);
+  ASSERT_TRUE(out.valid);
+  RegStats left;
+  for (int b = 0; b < binned->num_bins(); ++b) {
+    if (binned->upper(b) <= out.condition.threshold && bins[b].n > 0) {
+      left.Merge(bins[b]);
+    }
+  }
+  EXPECT_EQ(out.left_stats.reg.n, left.n);
+  EXPECT_EQ(out.left_stats.reg.sum, left.sum);
+  EXPECT_EQ(out.left_stats.reg.sum_sq, left.sum_sq);
+}
+
 // -------------------------------------------------------------------
 // Whole-tree parity.
 // -------------------------------------------------------------------
@@ -524,10 +575,10 @@ void ExpectMatchesNaive(const NodeHistogram& h, const BinnedColumn& bc,
               0)
         << what << ": class counts differ";
   } else {
-    std::vector<HistRegBin> bins(slots);
+    std::vector<RegStats> bins(slots);
     for (size_t i = 0; i < n; ++i) {
       const size_t row = rows != nullptr ? rows[i] : i;
-      HistRegBin& b = bins[bc.code_at(row)];
+      RegStats& b = bins[bc.code_at(row)];
       const double y = target.numeric_at(row);
       ++b.n;
       b.sum += y;
@@ -535,7 +586,7 @@ void ExpectMatchesNaive(const NodeHistogram& h, const BinnedColumn& bc,
     }
     ASSERT_EQ(h.reg_size(), bins.size()) << what;
     EXPECT_EQ(std::memcmp(h.reg_data(), bins.data(),
-                          bins.size() * sizeof(HistRegBin)),
+                          bins.size() * sizeof(RegStats)),
               0)
         << what << ": regression bins differ";
   }
@@ -596,6 +647,95 @@ TEST(HistFuzzTest, ClassificationHistogramsMatchNaiveAccumulation) {
 
 TEST(HistFuzzTest, RegressionHistogramsMatchNaiveAccumulation) {
   FuzzHistograms(TaskKind::kRegression);
+}
+
+// -------------------------------------------------------------------
+// Exact vs histogram split parity sweep. With one bin per distinct
+// value a run of tied values is exactly one bin, so both kernels scan
+// the same steps and their outcomes must serialize to the same bytes
+// (integer regression targets keep the sums free of rounding).
+// -------------------------------------------------------------------
+
+std::string SerializeOutcome(const SplitOutcome& outcome) {
+  BinaryWriter w;
+  outcome.Serialize(&w);
+  return w.buffer();
+}
+
+void SweepExactVsHistogram(TaskKind kind) {
+  const bool cls = kind == TaskKind::kClassification;
+  int compared = 0;
+  int valid = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 7919 + (cls ? 0 : 1));
+    const size_t n = 20 + rng.Uniform(600);
+    // Mostly narrow grids (long tie runs); every fifth seed is wide
+    // enough for 16-bit bin codes.
+    const int distinct = static_cast<int>(
+        seed % 5 == 0 ? 256 + rng.Uniform(200) : 1 + rng.Uniform(40));
+    const double missing = 0.2 * rng.UniformDouble();
+    const int classes = 2 + static_cast<int>(rng.Uniform(4));
+    // Off-integer values of both signs; every third seed packs
+    // neighbouring values one ulp apart, which must stay distinct.
+    std::vector<double> grid(distinct);
+    for (int g = 0; g < distinct; ++g) {
+      grid[g] = seed % 3 == 0 && g > 0 ? std::nextafter(grid[g - 1], 1e9)
+                                       : -3.5 + 0.37 * g;
+    }
+    std::vector<double> x(n);
+    std::vector<int32_t> labels(n);
+    std::vector<double> y(n);
+    for (size_t r = 0; r < n; ++r) {
+      // Squaring skews the draw: low values repeat in long tie runs,
+      // high ones are rare or absent from the node.
+      const double u = rng.UniformDouble();
+      const int g = std::min(distinct - 1, static_cast<int>(u * u * distinct));
+      x[r] = rng.Bernoulli(missing) ? MissingNumeric() : grid[g];
+      labels[r] = static_cast<int32_t>(
+          (g * classes / distinct + (rng.Bernoulli(0.3) ? 1 : 0)) % classes);
+      y[r] = static_cast<double>(g / 3) + static_cast<double>(rng.Uniform(7));
+    }
+    auto feature = Column::Numeric("x", std::move(x));
+    auto target = cls ? Column::Categorical("y", std::move(labels), classes)
+                      : Column::Numeric("y", std::move(y));
+    // max_bins from exactly `distinct` up to well above it.
+    const int max_bins =
+        std::max(2, distinct + static_cast<int>(rng.Uniform(3) * 50));
+    auto binned = BinnedColumn::Build(*feature, max_bins);
+    const SplitContext ctx =
+        cls ? ClsCtx(classes, seed % 2 == 0 ? Impurity::kGini
+                                            : Impurity::kEntropy)
+            : RegCtx();
+
+    // All rows on every fourth seed, else a scattered subset.
+    std::vector<uint32_t> rows;
+    const uint32_t* rows_ptr = nullptr;
+    size_t m = n;
+    if (seed % 4 != 0) {
+      rows = ScatteredRows(n, 1 + rng.Uniform(n), &rng);
+      rows_ptr = rows.data();
+      m = rows.size();
+    }
+    NodeHistogram h = NodeHistogram::Build(*binned, *target, ctx, rows_ptr, m);
+    const SplitOutcome hist = h.BestSplit(*binned, 0, ctx);
+    const SplitOutcome exact =
+        FindBestSplit(*feature, 0, *target, ctx, rows_ptr, m);
+    EXPECT_EQ(SerializeOutcome(hist), SerializeOutcome(exact))
+        << "seed " << seed << " rows " << m << " distinct " << distinct
+        << " max_bins " << max_bins;
+    ++compared;
+    valid += exact.valid ? 1 : 0;
+  }
+  // The sweep must mostly compare real splits, not two invalid ones.
+  EXPECT_GT(valid, compared * 3 / 4);
+}
+
+TEST(SplitParitySweepTest, ClassificationHistogramMatchesExactBytes) {
+  SweepExactVsHistogram(TaskKind::kClassification);
+}
+
+TEST(SplitParitySweepTest, RegressionHistogramMatchesExactBytes) {
+  SweepExactVsHistogram(TaskKind::kRegression);
 }
 
 }  // namespace

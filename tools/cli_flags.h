@@ -4,9 +4,14 @@
 #ifndef TREESERVER_TOOLS_CLI_FLAGS_H_
 #define TREESERVER_TOOLS_CLI_FLAGS_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -23,6 +28,39 @@ inline bool ParseFlag(const std::string& arg, const std::string& name,
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
   return true;
+}
+
+/// The whole of `value`, the value of `--name`, as a number in
+/// [min, max]. Anything else — trailing junk, overflow, a value out of
+/// range — is a usage error: prints the flag, then `usage`, and exits 2.
+template <typename T>
+T NumberFlag(const char* name, const std::string& value, T min,
+             void (*usage)(), T max = std::numeric_limits<T>::max()) {
+  const char* s = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  bool in_range = false;
+  T v{};
+  if constexpr (std::is_floating_point_v<T>) {
+    const double d = std::strtod(s, &end);
+    in_range = std::isfinite(d) && d >= min && d <= max;
+    v = static_cast<T>(d);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    // strtoull would wrap a leading '-' round to a huge value.
+    const unsigned long long u = std::strtoull(s, &end, 10);
+    in_range = value.find('-') == std::string::npos && u >= min && u <= max;
+    v = static_cast<T>(u);
+  } else {
+    const long long i = std::strtoll(s, &end, 10);
+    in_range = i >= min && i <= max;
+    v = static_cast<T>(i);
+  }
+  if (end == s || *end != '\0' || errno != 0 || !in_range) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", name, s);
+    usage();
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Splits a comma-separated list; empty fields are kept.

@@ -2,8 +2,9 @@
 //
 //   treefleet train    --out=model.bin [dataset/job flags]
 //   treefleet replica  --rank=R --workers=N --peers=h:p,... [--http-port=P]
-//   treefleet drive    --model=model.bin --workers=N --peers=... \
-//       [--requests=N] [--canary-model=m2.bin] [--trace-out=t.json]
+//   treefleet drive    --model=model.bin --workers=N --peers=...
+//                      [--requests=N] [--canary-model=m2.bin]
+//                      [--trace-out=t.json]
 //   treefleet push     --router=H:P --name=m --path=model.bin [--canary=1]
 //   treefleet promote  --router=H:P --name=m
 //   treefleet rollback --router=H:P --name=m
@@ -124,33 +125,33 @@ bool ParseArgs(int argc, char** argv, FleetOptions* opt) {
     std::string arg = argv[i];
     std::string v;
     if (ParseFlag(arg, "rank", &v)) {
-      opt->rank = std::atoi(v.c_str());
+      opt->rank = NumberFlag("rank", v, 0, Usage);
     } else if (ParseFlag(arg, "workers", &v)) {
-      opt->workers = std::atoi(v.c_str());
+      opt->workers = NumberFlag("workers", v, 1, Usage);
     } else if (ParseFlag(arg, "peers", &v)) {
       opt->peers = SplitCommas(v);
     } else if (ParseFlag(arg, "wait-peers-ms", &v)) {
-      opt->wait_peers_ms = std::atoll(v.c_str());
+      opt->wait_peers_ms = NumberFlag<int64_t>("wait-peers-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "heartbeat-ms", &v)) {
-      opt->heartbeat_ms = std::atoll(v.c_str());
+      opt->heartbeat_ms = NumberFlag<int64_t>("heartbeat-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "miss-limit", &v)) {
-      opt->miss_limit = std::atoi(v.c_str());
+      opt->miss_limit = NumberFlag("miss-limit", v, 1, Usage);
     } else if (ParseFlag(arg, "rows", &v)) {
-      opt->rows = static_cast<size_t>(std::atoll(v.c_str()));
+      opt->rows = NumberFlag<size_t>("rows", v, 1, Usage);
     } else if (ParseFlag(arg, "features", &v)) {
-      opt->features = std::atoi(v.c_str());
+      opt->features = NumberFlag("features", v, 0, Usage);
     } else if (ParseFlag(arg, "categorical", &v)) {
-      opt->categorical = std::atoi(v.c_str());
+      opt->categorical = NumberFlag("categorical", v, 0, Usage);
     } else if (ParseFlag(arg, "classes", &v)) {
-      opt->classes = std::atoi(v.c_str());
+      opt->classes = NumberFlag("classes", v, 0, Usage);
     } else if (ParseFlag(arg, "data-seed", &v)) {
-      opt->data_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->data_seed = NumberFlag<uint64_t>("data-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "trees", &v)) {
-      opt->trees = std::atoi(v.c_str());
+      opt->trees = NumberFlag("trees", v, 1, Usage);
     } else if (ParseFlag(arg, "max-depth", &v)) {
-      opt->max_depth = std::atoi(v.c_str());
+      opt->max_depth = NumberFlag("max-depth", v, 1, Usage);
     } else if (ParseFlag(arg, "job-seed", &v)) {
-      opt->job_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->job_seed = NumberFlag<uint64_t>("job-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "out", &v)) {
       opt->out = v;
     } else if (ParseFlag(arg, "model", &v)) {
@@ -160,19 +161,19 @@ bool ParseArgs(int argc, char** argv, FleetOptions* opt) {
     } else if (ParseFlag(arg, "trace-out", &v)) {
       opt->trace_out = v;
     } else if (ParseFlag(arg, "requests", &v)) {
-      opt->requests = std::atoi(v.c_str());
+      opt->requests = NumberFlag("requests", v, 0, Usage);
     } else if (ParseFlag(arg, "period-us", &v)) {
-      opt->period_us = std::atoi(v.c_str());
+      opt->period_us = NumberFlag("period-us", v, 0, Usage);
     } else if (ParseFlag(arg, "deadline-ms", &v)) {
-      opt->deadline_ms = std::atoi(v.c_str());
+      opt->deadline_ms = NumberFlag("deadline-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "max-inflight", &v)) {
-      opt->max_inflight = static_cast<size_t>(std::atoll(v.c_str()));
+      opt->max_inflight = NumberFlag<size_t>("max-inflight", v, 1, Usage);
     } else if (ParseFlag(arg, "chaos-profile", &v)) {
       opt->chaos_profile = v;
     } else if (ParseFlag(arg, "chaos-seed", &v)) {
-      opt->chaos_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->chaos_seed = NumberFlag<uint64_t>("chaos-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "http-port", &v)) {
-      opt->http_port = std::atoi(v.c_str());
+      opt->http_port = NumberFlag("http-port", v, -1, Usage, 65535);
     } else if (ParseFlag(arg, "trace", &v)) {
       opt->trace = v == "1" || v == "true";
     } else if (ParseFlag(arg, "router", &v)) {
@@ -538,8 +539,8 @@ int RunClient(const FleetOptions& opt) {
     return 1;
   }
   const std::string host = opt.router_addr.substr(0, colon);
-  const uint16_t port =
-      static_cast<uint16_t>(std::atoi(opt.router_addr.c_str() + colon + 1));
+  const uint16_t port = NumberFlag<uint16_t>(
+      "router", opt.router_addr.substr(colon + 1), 1, Usage);
 
   std::string path;
   if (opt.command == "status") {
@@ -572,7 +573,7 @@ int Run(int argc, char** argv) {
   FleetOptions opt;
   if (!ParseArgs(argc, argv, &opt)) {
     Usage();
-    return 1;
+    return 2;
   }
   if (opt.command == "train") return RunTrain(opt);
   if (opt.command == "replica" || opt.command == "drive") {

@@ -8,10 +8,10 @@
 // forest independent of which transport carried the messages.
 //
 // Example (1 master + 2 workers on localhost):
-//   treeserver_node --rank=0 --workers=2 \
-//       --peers=127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7000 &
-//   treeserver_node --rank=1 --workers=2 --peers=... &
-//   treeserver_node --rank=master --workers=2 --peers=... --out=f.bin
+//   PEERS=127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7000
+//   treeserver_node --rank=0 --workers=2 --peers=$PEERS &
+//   treeserver_node --rank=1 --workers=2 --peers=$PEERS &
+//   treeserver_node --rank=master --workers=2 --peers=$PEERS --out=f.bin
 // (tools/launch_local_cluster.sh automates this.)
 
 #include <atomic>
@@ -105,7 +105,6 @@ void Usage() {
       "  --peers=h:p,...           worker addresses 0..N-1, then master\n"
       "  --mode=tcp|inproc         inproc trains the reference in one\n"
       "                            process and ignores --rank/--peers\n"
-      "  --port=P                  listen port (default: from --peers)\n"
       "  --out=FILE                master: write the serialized forest\n"
       "  --split-method=exact|histogram\n"
       "                            numeric split kernel (default exact;\n"
@@ -144,9 +143,9 @@ bool ParseArgs(int argc, char** argv, NodeOptions* opt) {
     std::string arg = argv[i];
     std::string v;
     if (ParseFlag(arg, "rank", &v)) {
-      opt->rank = v == "master" ? kMasterRank : std::atoi(v.c_str());
+      opt->rank = v == "master" ? kMasterRank : NumberFlag("rank", v, 0, Usage);
     } else if (ParseFlag(arg, "workers", &v)) {
-      opt->engine.num_workers = std::atoi(v.c_str());
+      opt->engine.num_workers = NumberFlag("workers", v, 1, Usage);
     } else if (ParseFlag(arg, "peers", &v)) {
       opt->peers = SplitCommas(v);
     } else if (ParseFlag(arg, "mode", &v)) {
@@ -159,27 +158,28 @@ bool ParseArgs(int argc, char** argv, NodeOptions* opt) {
     } else if (ParseFlag(arg, "out", &v)) {
       opt->out = v;
     } else if (ParseFlag(arg, "rows", &v)) {
-      opt->rows = static_cast<size_t>(std::atoll(v.c_str()));
+      opt->rows = NumberFlag<size_t>("rows", v, 1, Usage);
     } else if (ParseFlag(arg, "features", &v)) {
-      opt->features = std::atoi(v.c_str());
+      opt->features = NumberFlag("features", v, 0, Usage);
     } else if (ParseFlag(arg, "categorical", &v)) {
-      opt->categorical = std::atoi(v.c_str());
+      opt->categorical = NumberFlag("categorical", v, 0, Usage);
     } else if (ParseFlag(arg, "classes", &v)) {
-      opt->classes = std::atoi(v.c_str());
+      opt->classes = NumberFlag("classes", v, 0, Usage);
     } else if (ParseFlag(arg, "data-seed", &v)) {
-      opt->data_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->data_seed = NumberFlag<uint64_t>("data-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "trees", &v)) {
-      opt->trees = std::atoi(v.c_str());
+      opt->trees = NumberFlag("trees", v, 1, Usage);
     } else if (ParseFlag(arg, "max-depth", &v)) {
-      opt->max_depth = std::atoi(v.c_str());
+      opt->max_depth = NumberFlag("max-depth", v, 1, Usage);
     } else if (ParseFlag(arg, "min-leaf", &v)) {
-      opt->min_leaf = static_cast<uint32_t>(std::atoi(v.c_str()));
+      opt->min_leaf = NumberFlag<uint32_t>("min-leaf", v, 1, Usage);
     } else if (ParseFlag(arg, "column-ratio", &v)) {
-      opt->column_ratio = std::atof(v.c_str());
+      opt->column_ratio = NumberFlag(
+          "column-ratio", v, std::numeric_limits<double>::min(), Usage, 1.0);
     } else if (ParseFlag(arg, "sqrt-columns", &v)) {
       opt->sqrt_columns = v == "1" || v == "true";
     } else if (ParseFlag(arg, "job-seed", &v)) {
-      opt->job_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->job_seed = NumberFlag<uint64_t>("job-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "split-method", &v)) {
       if (v == "histogram") {
         opt->split_method = SplitMethod::kHistogram;
@@ -190,47 +190,51 @@ bool ParseArgs(int argc, char** argv, NodeOptions* opt) {
         return false;
       }
     } else if (ParseFlag(arg, "max-bins", &v)) {
-      opt->max_bins = std::atoi(v.c_str());
+      opt->max_bins = NumberFlag("max-bins", v, 2, Usage, 65535);
     } else if (ParseFlag(arg, "compers", &v)) {
-      opt->engine.compers_per_worker = std::atoi(v.c_str());
+      opt->engine.compers_per_worker = NumberFlag("compers", v, 1, Usage);
     } else if (ParseFlag(arg, "replication", &v)) {
-      opt->engine.replication = std::atoi(v.c_str());
+      opt->engine.replication = NumberFlag("replication", v, 1, Usage);
     } else if (ParseFlag(arg, "tau-d", &v)) {
-      opt->engine.tau_d = std::strtoull(v.c_str(), nullptr, 10);
+      opt->engine.tau_d = NumberFlag<uint64_t>("tau-d", v, 0, Usage);
     } else if (ParseFlag(arg, "tau-dfs", &v)) {
-      opt->engine.tau_dfs = std::strtoull(v.c_str(), nullptr, 10);
+      opt->engine.tau_dfs = NumberFlag<uint64_t>("tau-dfs", v, 0, Usage);
     } else if (ParseFlag(arg, "compress", &v)) {
       opt->engine.compress_transfers = v == "1" || v == "true";
     } else if (ParseFlag(arg, "stats-period", &v)) {
-      opt->engine.stats_period_ms = std::atoi(v.c_str());
+      opt->engine.stats_period_ms = NumberFlag("stats-period", v, 0, Usage);
     } else if (ParseFlag(arg, "heartbeat-ms", &v)) {
-      opt->heartbeat_ms = std::atoll(v.c_str());
+      opt->heartbeat_ms = NumberFlag<int64_t>("heartbeat-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "miss-limit", &v)) {
-      opt->miss_limit = std::atoi(v.c_str());
+      opt->miss_limit = NumberFlag("miss-limit", v, 1, Usage);
     } else if (ParseFlag(arg, "wait-peers-ms", &v)) {
-      opt->wait_peers_ms = std::atoll(v.c_str());
+      opt->wait_peers_ms = NumberFlag<int64_t>("wait-peers-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "generation", &v)) {
-      opt->generation = static_cast<uint16_t>(std::atoi(v.c_str()));
+      opt->generation = NumberFlag<uint16_t>("generation", v, 0, Usage);
     } else if (ParseFlag(arg, "chaos-profile", &v)) {
       opt->chaos_profile = v;
     } else if (ParseFlag(arg, "chaos-seed", &v)) {
-      opt->chaos_seed = std::strtoull(v.c_str(), nullptr, 10);
+      opt->chaos_seed = NumberFlag<uint64_t>("chaos-seed", v, 0, Usage);
     } else if (ParseFlag(arg, "checkpoint-dir", &v)) {
       opt->checkpoint_dir = v;
     } else if (ParseFlag(arg, "checkpoint-period-ms", &v)) {
-      opt->checkpoint_period_ms = std::atoll(v.c_str());
+      opt->checkpoint_period_ms =
+          NumberFlag<int64_t>("checkpoint-period-ms", v, 0, Usage);
     } else if (ParseFlag(arg, "http-port", &v)) {
-      opt->http_port = std::atoi(v.c_str());
+      opt->http_port = NumberFlag("http-port", v, -1, Usage, 65535);
     } else if (ParseFlag(arg, "trace", &v)) {
       opt->trace = v == "1" || v == "true";
     } else if (ParseFlag(arg, "trace-out", &v)) {
       opt->trace_out = v;
     } else if (ParseFlag(arg, "watchdog-period", &v)) {
-      opt->engine.watchdog_period_ms = std::atoi(v.c_str());
+      opt->engine.watchdog_period_ms =
+          NumberFlag("watchdog-period", v, 0, Usage);
     } else if (ParseFlag(arg, "debug-slow-worker", &v)) {
-      opt->engine.debug_slow_worker = std::atoi(v.c_str());
+      opt->engine.debug_slow_worker =
+          NumberFlag("debug-slow-worker", v, -1, Usage);
     } else if (ParseFlag(arg, "debug-slow-task-ms", &v)) {
-      opt->engine.debug_slow_task_ms = std::atoi(v.c_str());
+      opt->engine.debug_slow_task_ms =
+          NumberFlag("debug-slow-task-ms", v, 0, Usage);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       std::exit(0);
@@ -614,7 +618,7 @@ int RunWorker(const NodeOptions& opt) {
 
 int Run(int argc, char** argv) {
   NodeOptions opt;
-  if (!ParseArgs(argc, argv, &opt)) return 1;
+  if (!ParseArgs(argc, argv, &opt)) return 2;
   if (opt.inproc) return RunInproc(opt);
   if (opt.peers.size() != static_cast<size_t>(opt.engine.num_workers) + 1) {
     std::fprintf(stderr,
