@@ -106,17 +106,24 @@ int main() {
 
   // 4. Hot-swap: retrain with more trees and publish again. In-flight
   //    requests keep the version they resolved; new batches pick up v2.
+  //    A block of rows is submitted as one unit and every row of it is
+  //    scored by the one version its completion reports.
   job.num_trees = 40;
   job.seed = 2;
   Result<uint32_t> v2 = registry.Publish("loan_risk",
                                          TrainForestSerial(train, job, 4));
   if (!v2.ok()) return 1;
-  PredictRequest req;
-  req.model = "loan_risk";
-  req.table = serving_table;
-  req.row = 0;
-  Result<Prediction> r = server.Predict(std::move(req)).get();
-  std::printf("after hot-swap, row 0 served by version %u\n",
+  std::promise<Result<BlockPrediction>> block_done;
+  std::future<Result<BlockPrediction>> block = block_done.get_future();
+  PredictBlock request;
+  request.model = "loan_risk";
+  request.table = serving_table;
+  for (uint32_t row = 0; row < 100; ++row) request.rows.push_back(row);
+  server.Submit(std::move(request), [&](Result<BlockPrediction> r) {
+    block_done.set_value(std::move(r));
+  });
+  Result<BlockPrediction> r = block.get();
+  std::printf("after hot-swap, a 100-row block served by version %u\n",
               r.ok() ? r->model_version : 0);
 
   server.Stop();

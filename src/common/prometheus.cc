@@ -66,7 +66,7 @@ std::string PrometheusMetricName(const std::string& name) {
   for (size_t i = 0; i < name.size(); ++i) {
     out.push_back(ValidNameChar(name[i], i == 0) ? name[i] : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -1,6 +1,6 @@
 #include "fleet/replica.h"
 
-#include <future>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -11,9 +11,10 @@ namespace treeserver {
 
 namespace {
 
-/// Threads draining the replica's task mailbox. More than one keeps
-/// health pings responsive while a large predict batch is waiting on
-/// the inference server.
+/// Threads draining the replica's task mailbox. No handler waits on a
+/// prediction (the reply is sent from the block's completion); more
+/// than one keeps predicts and health pings flowing while another
+/// thread deserializes and compiles a pushed model.
 constexpr int kHandlerThreads = 2;
 
 }  // namespace
@@ -133,37 +134,37 @@ void FleetReplica::HandlePredict(const Message& msg) {
     return;
   }
 
-  std::vector<std::future<Result<Prediction>>> futures;
-  futures.reserve(req.num_rows);
-  for (uint32_t row = 0; row < req.num_rows; ++row) {
-    PredictRequest p;
-    p.model = req.model;
-    p.table = *table;
-    p.row = row;
-    futures.push_back(server_->Predict(std::move(p)));
-  }
-
+  PredictBlock block;
+  block.model = std::move(req.model);
+  block.table = std::move(*table);
+  block.rows.resize(req.num_rows);
+  std::iota(block.rows.begin(), block.rows.end(), 0u);
   const bool classification =
       static_cast<TaskKind>(req.task_kind) == TaskKind::kClassification;
-  for (auto& f : futures) {
-    Result<Prediction> pred = f.get();
-    if (!pred.ok()) {
-      // All-or-nothing: the router retries retryable codes elsewhere.
-      reply.status_code = static_cast<uint8_t>(pred.status().code());
-      reply.error = pred.status().message();
-      reply.labels.clear();
-      reply.values.clear();
-      break;
-    }
-    reply.version = pred->model_version;
-    if (classification) {
-      reply.labels.push_back(pred->label);
-    } else {
-      reply.values.push_back(pred->value);
-    }
-  }
-  SendToRouter(ChannelKind::kTask,
-               static_cast<uint32_t>(FleetMsg::kPredictReply), reply.Encode());
+  const uint32_t num_rows = req.num_rows;
+  // The mailbox thread returns at once; the reply is encoded and sent
+  // from the block's completion. All-or-nothing: the router retries
+  // retryable codes elsewhere.
+  server_->Submit(
+      std::move(block), [this, reply = std::move(reply), classification,
+                         num_rows](Result<BlockPrediction> pred) mutable {
+        if (pred.ok() && (classification ? pred->labels.size()
+                                         : pred->values.size()) != num_rows) {
+          pred = Status::InvalidArgument(
+              "model task kind does not match the request's");
+        }
+        if (!pred.ok()) {
+          reply.status_code = static_cast<uint8_t>(pred.status().code());
+          reply.error = pred.status().message();
+        } else {
+          reply.version = pred->model_version;
+          reply.labels = std::move(pred->labels);
+          reply.values = std::move(pred->values);
+        }
+        SendToRouter(ChannelKind::kTask,
+                     static_cast<uint32_t>(FleetMsg::kPredictReply),
+                     reply.Encode());
+      });
 }
 
 void FleetReplica::HandlePush(const Message& msg) {

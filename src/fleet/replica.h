@@ -30,9 +30,12 @@ struct FleetReplicaConfig {
 
 /// One fleet serving process: a ModelRegistry + InferenceServer behind
 /// the fleet wire protocol. Handler threads drain the replica's task
-/// mailbox and answer predicts, model pushes/rollbacks, health pings
-/// and trace requests; a CRC-failed payload (chaos corruption) is
-/// counted and dropped — the router's retransmit timer covers it.
+/// mailbox and answer model pushes/rollbacks, health pings and trace
+/// requests. A predict is submitted to the server as one block, so all
+/// of its rows are scored by one model version, and its reply is sent
+/// from the block's completion on a server worker: no handler waits on
+/// a prediction. A CRC-failed payload (chaos corruption) is counted and
+/// dropped — the router's retransmit timer covers it.
 ///
 /// Admin ops are idempotent: the reply to each applied op_id is
 /// recorded and replayed verbatim on retransmit, so a duplicated push
@@ -48,7 +51,9 @@ class FleetReplica {
   /// Starts the inference server and the handler threads.
   void Start();
   /// Stops handlers (closing this rank's task mailbox) and the inner
-  /// server. Idempotent; also run by the destructor.
+  /// server. Every predict taken from the mailbox has been answered
+  /// when it returns, and no reply is sent after. Idempotent; also run
+  /// by the destructor.
   void Stop();
   /// Blocks until the handler threads exit (kShutdown from the router
   /// or a closed mailbox).

@@ -509,7 +509,6 @@ void FleetRouter::TimerTick(
     std::vector<Send>* sends,
     std::vector<std::pair<std::promise<Result<FleetBatchResult>>, Status>>*
         failed) {
-  const uint64_t now = NowNanos();
   const uint64_t health_period_ns =
       static_cast<uint64_t>(std::max(1, config_.health_period_ms)) * 1000000;
   const uint64_t retry_ns =
@@ -518,6 +517,10 @@ void FleetRouter::TimerTick(
   std::vector<std::shared_ptr<AdminOp>> admin_done;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Read under mu_: every send time recorded in the state is then
+    // earlier, so `now - last_send_ns` cannot wrap around into a huge
+    // age and fire a spurious retransmit.
+    const uint64_t now = NowNanos();
 
     // Health round.
     if (now - last_health_sent_ns_ >= health_period_ns) {

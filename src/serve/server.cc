@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "common/introspection.h"
@@ -86,24 +89,20 @@ void InferenceServer::Start() {
 
 void InferenceServer::Stop() {
   if (http_ != nullptr) http_->Stop();
-  std::vector<PendingRequest> orphaned;
+  std::deque<PendingBlock> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
     stopping_ = true;
     if (!started_) {
       // Never ran: fail whatever was admitted pre-Start.
-      orphaned.reserve(queue_.size());
-      while (!queue_.empty()) {
-        orphaned.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      orphaned.swap(queue_);
+      queued_rows_ = 0;
     }
   }
   cv_.notify_all();
-  for (auto& p : orphaned) {
-    p.promise.set_value(
-        Status::FailedPrecondition("inference server stopped before start"));
+  for (PendingBlock& p : orphaned) {
+    p.done(Status::FailedPrecondition("inference server stopped before start"));
   }
   if (scheduler_.joinable()) scheduler_.join();
   batches_.Close();
@@ -113,54 +112,77 @@ void InferenceServer::Stop() {
   workers_.clear();
 }
 
-std::future<Result<Prediction>> InferenceServer::Predict(
-    PredictRequest request) {
-  PendingRequest pending;
-  pending.request = std::move(request);
-  pending.enqueue_ns = NowNanos();
-  std::future<Result<Prediction>> future = pending.promise.get_future();
+void InferenceServer::Submit(PredictBlock block, BlockDone done) {
   requests_total_->Inc();
   requests_.Inc();
-
-  if (pending.request.table == nullptr ||
-      pending.request.row >= pending.request.table->num_rows()) {
-    pending.promise.set_value(Status::InvalidArgument(
-        "predict request has no table or an out-of-range row"));
-    return future;
+  const DataTable* table = block.table.get();
+  if (table == nullptr ||
+      std::any_of(block.rows.begin(), block.rows.end(),
+                  [&](uint32_t r) { return r >= table->num_rows(); })) {
+    done(Status::InvalidArgument(
+        "predict block has no table or an out-of-range row"));
+    return;
   }
 
-  bool rejected = false;
-  bool stopped = false;
+  const size_t rows = block.rows.size();
+  Status refused;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      stopped = true;
-    } else if (queue_.size() >= config_.max_queue) {
-      rejected = true;
+      refused = Status::FailedPrecondition("inference server is stopped");
+    } else if (queued_rows_ + rows > config_.max_queue) {
+      refused = Status::Unavailable(
+          "inference queue full (" + std::to_string(queued_rows_) + " of " +
+          std::to_string(config_.max_queue) + " rows pending, block of " +
+          std::to_string(rows) + "); retry later");
     } else {
-      queue_.push_back(std::move(pending));
+      queued_rows_ += rows;
+      unflushed_rows_ += rows;
+      queue_.push_back({std::move(block), std::move(done), NowNanos()});
+      const size_t max_batch =
+          static_cast<size_t>(std::max(1, config_.max_batch));
+      wake = scheduler_idle_ || unflushed_rows_ >= max_batch;
     }
   }
-  if (stopped) {
-    pending.promise.set_value(
-        Status::FailedPrecondition("inference server is stopped"));
-    return future;
+  if (refused.ok()) {
+    if (wake) cv_.notify_one();
+    return;
   }
-  if (rejected) {
+  if (refused.code() == StatusCode::kUnavailable) {
     requests_rejected_->Inc();
     rejected_.Inc();
-    pending.promise.set_value(Status::Unavailable(
-        "inference queue full (" + std::to_string(config_.max_queue) +
-        " pending); retry later"));
-    return future;
   }
-  cv_.notify_one();
+  done(std::move(refused));
+}
+
+std::future<Result<Prediction>> InferenceServer::Predict(
+    PredictRequest request) {
+  // Owned by the completion, which runs exactly once. A raw pointer
+  // keeps the callable small enough for std::function to store inline.
+  auto* promise = new std::promise<Result<Prediction>>();
+  std::future<Result<Prediction>> future = promise->get_future();
+  Submit({std::move(request.model), std::move(request.table), {request.row},
+          request.max_depth, request.want_pmf},
+         [promise](Result<BlockPrediction> block) {
+           std::unique_ptr<std::promise<Result<Prediction>>> owned(promise);
+           if (!block.ok()) {
+             owned->set_value(block.status());
+             return;
+           }
+           Prediction out;
+           out.model_version = block->model_version;
+           if (!block->labels.empty()) out.label = block->labels[0];
+           if (!block->values.empty()) out.value = block->values[0];
+           out.pmf = std::move(block->pmf);
+           owned->set_value(std::move(out));
+         });
   return future;
 }
 
 size_t InferenceServer::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return queued_rows_;
 }
 
 InferenceServer::Stats InferenceServer::GetStats() const {
@@ -177,86 +199,88 @@ uint16_t InferenceServer::http_port() const {
 }
 
 void InferenceServer::SchedulerLoop() {
-  const auto deadline =
-      std::chrono::microseconds(std::max(0, config_.batch_deadline_us));
+  const uint64_t deadline_ns =
+      static_cast<uint64_t>(std::max(0, config_.batch_deadline_us)) * 1000;
   const size_t max_batch = static_cast<size_t>(std::max(1, config_.max_batch));
 
-  // Per-model groups being accumulated, with the enqueue time of each
-  // group's oldest request for the deadline check.
-  std::map<std::string, std::vector<PendingRequest>> pending;
-  std::map<std::string, uint64_t> oldest_ns;
+  // Per-model batches being accumulated; `enqueue_ns` of a batch's
+  // first block is its age for the deadline check.
+  std::map<std::string, Batch> pending;
 
   std::unique_lock<std::mutex> lock(mu_);
+  auto flush = [&](Batch* batch) {
+    Batch full = std::exchange(*batch, Batch{});
+    unflushed_rows_ -= full.rows;
+    lock.unlock();
+    Flush(std::move(full));
+    lock.lock();
+  };
   while (true) {
-    if (!pending.empty()) {
-      cv_.wait_for(lock, deadline,
-                   [&] { return !queue_.empty() || stopping_; });
-    } else {
+    if (pending.empty()) {
+      scheduler_idle_ = true;
       cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      scheduler_idle_ = false;
+    } else {
+      // Sleep until the oldest pending block is due. New blocks end
+      // the sleep early only when the unflushed rows could fill a
+      // batch, so blocks arriving meanwhile are drained together.
+      uint64_t due = UINT64_MAX;
+      for (const auto& [model, batch] : pending) {
+        due = std::min(due, batch.blocks.front().enqueue_ns + deadline_ns);
+      }
+      const uint64_t now = NowNanos();
+      if (due > now) {
+        cv_.wait_for(lock, std::chrono::nanoseconds(due - now), [&] {
+          return (!queue_.empty() && unflushed_rows_ >= max_batch) ||
+                 stopping_;
+        });
+      }
     }
 
-    // Drain the intake queue into per-model groups, flushing any group
-    // that reaches the batch size.
+    // Drain the intake queue into per-model batches. A block is never
+    // split: one that would overfill its batch flushes the batch
+    // first, and a batch is flushed once it holds max_batch rows.
     while (!queue_.empty()) {
-      PendingRequest req = std::move(queue_.front());
+      PendingBlock item = std::move(queue_.front());
       queue_.pop_front();
-      // Copied, not referenced: `req` is moved into the group below.
-      const std::string name = req.request.model;
-      std::vector<PendingRequest>& group = pending[name];
-      if (group.empty()) oldest_ns[name] = req.enqueue_ns;
-      group.push_back(std::move(req));
-      if (group.size() >= max_batch) {
-        std::vector<PendingRequest> batch = std::move(group);
-        pending.erase(name);
-        oldest_ns.erase(name);
-        lock.unlock();
-        FlushModel(name, std::move(batch));
-        lock.lock();
+      const size_t rows = item.block.rows.size();
+      Batch& batch = pending[item.block.model];
+      if (!batch.blocks.empty() && batch.rows + rows > max_batch) {
+        flush(&batch);
       }
+      if (batch.blocks.empty()) batch.model = item.block.model;
+      batch.rows += rows;
+      batch.blocks.push_back(std::move(item));
+      if (batch.rows >= max_batch) flush(&batch);
     }
 
     const bool draining = stopping_;
-    // Flush groups whose oldest request aged past the deadline (all of
+    // Flush batches whose oldest block aged past the deadline (all of
     // them when draining for shutdown).
     const uint64_t now = NowNanos();
-    const uint64_t deadline_ns = static_cast<uint64_t>(deadline.count()) * 1000;
     for (auto it = pending.begin(); it != pending.end();) {
-      if (!draining && now - oldest_ns[it->first] < deadline_ns) {
-        ++it;
-        continue;
+      Batch& batch = it->second;
+      if (!batch.blocks.empty() &&
+          (draining || now - batch.blocks.front().enqueue_ns >= deadline_ns)) {
+        flush(&batch);
       }
-      std::string name = it->first;
-      std::vector<PendingRequest> batch = std::move(it->second);
-      it = pending.erase(it);
-      oldest_ns.erase(name);
-      lock.unlock();
-      FlushModel(name, std::move(batch));
-      lock.lock();
+      it = batch.blocks.empty() ? pending.erase(it) : std::next(it);
     }
 
     if (draining && queue_.empty() && pending.empty()) break;
   }
 }
 
-void InferenceServer::FlushModel(const std::string& name,
-                                 std::vector<PendingRequest> items) {
-  // Resolve the model version once per batch: a hot-swap takes effect
-  // between batches, never within one.
-  std::shared_ptr<const ServedModel> model =
-      registry_ == nullptr ? nullptr : registry_->Current(name);
-  if (model == nullptr) {
-    for (auto& item : items) {
-      item.promise.set_value(
-          Status::NotFound("no published model named " + name));
-    }
-    return;
+void InferenceServer::Flush(Batch batch) {
+  // Resolve the model version once per batch: every block in it is
+  // scored by this one version.
+  batch.served =
+      registry_ == nullptr ? nullptr : registry_->Current(batch.model);
+  if (batch.served != nullptr) {
+    batches_flushed_->Inc();
+    flushed_.Inc();
+    batch_rows_->Add(batch.rows);
   }
-  batches_flushed_->Inc();
-  flushed_.Inc();
-  batch_rows_->Add(items.size());
-  Batch batch;
-  batch.model = std::move(model);
-  batch.items = std::move(items);
   // Stop() joins the scheduler before closing the batch queue, so this
   // Push cannot race Close.
   batches_.Push(std::move(batch));
@@ -266,18 +290,27 @@ void InferenceServer::WorkerLoop() {
   while (true) {
     std::optional<Batch> batch = batches_.Pop();
     if (!batch.has_value()) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queued_rows_ -= batch->rows;
+    }
     ExecuteBatch(std::move(*batch));
   }
 }
 
 void InferenceServer::ExecuteBatch(Batch batch) {
+  if (batch.served == nullptr) {
+    for (PendingBlock& item : batch.blocks) {
+      item.done(Status::NotFound("no published model named " + batch.model));
+    }
+    return;
+  }
   TraceSpan span(TraceCat::kServe, "serve-batch");
-  const CompiledForest& compiled = batch.model->compiled;
-  Histogram* latency =
-      metrics_.GetHistogram("serve.latency_us." + batch.model->name);
+  const CompiledForest& compiled = batch.served->compiled;
+  Histogram* latency = metrics_.GetHistogram("serve.latency_us." + batch.model);
 
-  // Sub-group items sharing a table and depth cutoff: each sub-group is
-  // one batched traversal over the compiled forest.
+  // Group blocks sharing a table and depth cutoff: each group is one
+  // batched traversal over the compiled forest.
   struct GroupKey {
     const DataTable* table;
     int max_depth;
@@ -286,52 +319,60 @@ void InferenceServer::ExecuteBatch(Batch batch) {
     }
   };
   std::map<GroupKey, std::vector<size_t>> groups;
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    const PredictRequest& req = batch.items[i].request;
-    groups[{req.table.get(), req.max_depth}].push_back(i);
+  for (size_t i = 0; i < batch.blocks.size(); ++i) {
+    const PredictBlock& block = batch.blocks[i].block;
+    groups[{block.table.get(), block.max_depth}].push_back(i);
   }
 
-  const int num_classes = compiled.num_classes();
+  const bool classification = compiled.is_classification();
+  const size_t num_classes = static_cast<size_t>(compiled.num_classes());
   std::vector<uint32_t> rows;
   std::vector<float> pmf;
   std::vector<int32_t> labels;
   std::vector<double> values;
-  for (const auto& [key, indices] : groups) {
-    const DataTable& table = *batch.items[indices.front()].request.table;
+  for (const auto& [key, members] : groups) {
     rows.clear();
-    rows.reserve(indices.size());
-    for (size_t i : indices) rows.push_back(batch.items[i].request.row);
-
-    const bool classification = compiled.is_classification();
+    for (size_t i : members) {
+      const std::vector<uint32_t>& r = batch.blocks[i].block.rows;
+      rows.insert(rows.end(), r.begin(), r.end());
+    }
     if (classification) {
       // One traversal: the labels are the argmax of the PMF.
-      pmf.assign(indices.size() * static_cast<size_t>(num_classes), 0.0f);
-      compiled.PredictPmf(table, rows.data(), rows.size(), key.max_depth,
-                          pmf.data());
-      labels.assign(indices.size(), 0);
-      ArgmaxLabels(pmf.data(), indices.size(), num_classes, labels.data());
+      pmf.assign(rows.size() * num_classes, 0.0f);
+      labels.assign(rows.size(), 0);
+      if (!rows.empty()) {
+        compiled.PredictPmf(*key.table, rows.data(), rows.size(),
+                            key.max_depth, pmf.data());
+        ArgmaxLabels(pmf.data(), rows.size(), compiled.num_classes(),
+                     labels.data());
+      }
     } else {
-      values.assign(indices.size(), 0.0);
-      compiled.PredictValue(table, rows.data(), rows.size(), key.max_depth,
-                            values.data());
+      values.assign(rows.size(), 0.0);
+      if (!rows.empty()) {
+        compiled.PredictValue(*key.table, rows.data(), rows.size(),
+                              key.max_depth, values.data());
+      }
     }
 
     const uint64_t done_ns = NowNanos();
-    for (size_t j = 0; j < indices.size(); ++j) {
-      PendingRequest& item = batch.items[indices[j]];
-      Prediction out;
-      out.model_version = batch.model->version;
+    size_t begin = 0;
+    for (size_t i : members) {
+      PendingBlock& item = batch.blocks[i];
+      const size_t end = begin + item.block.rows.size();
+      BlockPrediction out;
+      out.model_version = batch.served->version;
       if (classification) {
-        out.label = labels[j];
-        if (item.request.want_pmf) {
-          const float* p = pmf.data() + j * static_cast<size_t>(num_classes);
-          out.pmf.assign(p, p + num_classes);
+        out.labels.assign(labels.begin() + begin, labels.begin() + end);
+        if (item.block.want_pmf) {
+          out.pmf.assign(pmf.begin() + begin * num_classes,
+                         pmf.begin() + end * num_classes);
         }
       } else {
-        out.value = values[j];
+        out.values.assign(values.begin() + begin, values.begin() + end);
       }
+      begin = end;
       latency->Add((done_ns - item.enqueue_ns) / 1000);
-      item.promise.set_value(std::move(out));
+      item.done(std::move(out));
     }
   }
 }

@@ -4,8 +4,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,13 +23,15 @@ namespace treeserver {
 struct InferenceServerConfig {
   /// Prediction worker threads executing flushed batches.
   int num_workers = 2;
-  /// A model's pending batch is flushed as soon as it reaches this
-  /// many requests...
+  /// A model's pending batch is flushed as soon as it holds this many
+  /// rows...
   int max_batch = 64;
-  /// ...or as soon as its oldest request has waited this long.
+  /// ...or as soon as its oldest block has waited this long.
   int batch_deadline_us = 200;
-  /// Admission bound: Predict() rejects with Unavailable once this
-  /// many requests are queued but not yet executing (backpressure).
+  /// Admission bound, in rows: Submit() rejects a block with
+  /// Unavailable when it would take the rows admitted but not yet
+  /// executing past this bound (backpressure). A block larger than the
+  /// bound never fits.
   size_t max_queue = 4096;
   /// Destination for serving metrics; nullptr uses
   /// MetricsRegistry::Global(). Metrics:
@@ -44,9 +46,35 @@ struct InferenceServerConfig {
   std::string http_host = "127.0.0.1";
 };
 
-/// One row-prediction request. The table is shared so the caller can
-/// batch many requests against one block without copies; `row` indexes
-/// into it.
+/// Rows of one shared table scored as a unit: every row is predicted
+/// by the same model version.
+struct PredictBlock {
+  std::string model;
+  std::shared_ptr<const DataTable> table;
+  std::vector<uint32_t> rows;
+  /// Predict-at-any-depth cutoff; -1 serves the full tree depth.
+  int max_depth = -1;
+  /// Also return the full class PMFs (classification models).
+  bool want_pmf = false;
+};
+
+/// The outputs of one block, one entry per row in block order.
+struct BlockPrediction {
+  /// The one model version every row was scored against.
+  uint32_t model_version = 0;
+  /// Classification models: argmax of the averaged PMF.
+  std::vector<int32_t> labels;
+  /// Regression models.
+  std::vector<double> values;
+  /// Row-major rows x num_classes; filled only when
+  /// PredictBlock::want_pmf was set.
+  std::vector<float> pmf;
+};
+
+/// Completion of one block; runs exactly once (see Submit).
+using BlockDone = std::function<void(Result<BlockPrediction>)>;
+
+/// One row-prediction request: a one-row PredictBlock.
 struct PredictRequest {
   std::string model;
   std::shared_ptr<const DataTable> table;
@@ -69,17 +97,21 @@ struct Prediction {
 
 /// In-process micro-batching prediction server over a ModelRegistry.
 ///
-/// Predict() enqueues a request and returns a future. A scheduler
-/// thread groups requests per model and flushes a batch when it
-/// reaches `max_batch` rows or its oldest request ages past
-/// `batch_deadline_us`; the model version is resolved at flush time
-/// (atomic registry load), so hot-swapped models take over between
-/// batches, never inside one. Worker threads execute batches through
-/// the compiled predictors, sub-grouped by (table, max_depth) so each
-/// group is a single batched traversal. Admission control rejects work
-/// beyond `max_queue` instead of queueing unboundedly.
+/// Submit() enqueues a block of rows and returns at once; the block's
+/// completion runs when it has been scored. A scheduler thread groups
+/// blocks per model and flushes a batch when it holds `max_batch` rows
+/// or its oldest block ages past `batch_deadline_us`. A block is never
+/// split: one that would overfill the batch flushes the batch first,
+/// and one of `max_batch` rows or more is flushed alone. The model
+/// version is resolved once per flush (atomic registry load), so every
+/// row of a block is scored by one version and a hot-swapped model
+/// takes over between blocks, never inside one. Worker threads execute
+/// batches through the compiled predictors, grouping blocks by (table,
+/// max_depth) so each group is a single batched traversal. Admission
+/// control rejects rows beyond `max_queue` instead of queueing
+/// unboundedly.
 ///
-/// Requests may be submitted before Start(): they are admitted against
+/// Blocks may be submitted before Start(): they are admitted against
 /// the same bound and served once the server starts.
 class InferenceServer {
  public:
@@ -90,22 +122,30 @@ class InferenceServer {
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   void Start();
-  /// Stops admission, drains queued requests, joins all threads.
-  /// Idempotent.
+  /// Stops admission, drains queued blocks, joins all threads. Every
+  /// admitted block's completion has run when it returns. Idempotent.
   void Stop();
 
-  /// Queues one prediction. The future resolves with the prediction,
-  /// or with NotFound (unknown model), Unavailable (queue full), or
-  /// FailedPrecondition (server stopped).
+  /// Queues one block. `done` runs exactly once, with the block's
+  /// predictions or with NotFound (unknown model), Unavailable (queue
+  /// full), InvalidArgument (no table or an out-of-range row) or
+  /// FailedPrecondition (server stopped). It runs on the calling
+  /// thread when the block is refused here, on the thread calling
+  /// Stop() when the server never started, and on a worker thread
+  /// otherwise, so it must not wait on other blocks.
+  void Submit(PredictBlock block, BlockDone done);
+
+  /// Queues one row as a one-row block; the future resolves as Submit's
+  /// completion would.
   std::future<Result<Prediction>> Predict(PredictRequest request);
 
-  /// Requests currently queued ahead of the scheduler (not yet
-  /// batched).
+  /// Rows admitted but not yet executing.
   size_t queue_depth() const;
 
   /// Point-in-time load counters of this server alone; the serve.*
   /// registry counters also count every other server sharing the
   /// registry. Feeds /statusz and the fleet replica's health pongs.
+  /// `requests` and `rejected` count blocks.
   struct Stats {
     size_t queue_depth = 0;
     uint64_t requests = 0;
@@ -118,20 +158,24 @@ class InferenceServer {
   uint16_t http_port() const;
 
  private:
-  struct PendingRequest {
-    PredictRequest request;
-    std::promise<Result<Prediction>> promise;
+  struct PendingBlock {
+    PredictBlock block;
+    BlockDone done;
     uint64_t enqueue_ns = 0;
   };
+  /// Blocks of one model flushed together.
   struct Batch {
-    std::shared_ptr<const ServedModel> model;
-    std::vector<PendingRequest> items;
+    std::string model;
+    /// Resolved at flush; nullptr when no such model is published.
+    std::shared_ptr<const ServedModel> served;
+    std::vector<PendingBlock> blocks;
+    size_t rows = 0;
   };
 
   void SchedulerLoop();
   void WorkerLoop();
   void ExecuteBatch(Batch batch);
-  void FlushModel(const std::string& name, std::vector<PendingRequest> items);
+  void Flush(Batch batch);
 
   const ModelRegistry* const registry_;
   const InferenceServerConfig config_;
@@ -149,7 +193,15 @@ class InferenceServer {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<PendingRequest> queue_;
+  std::deque<PendingBlock> queue_;
+  /// Rows admitted but not yet picked up by a worker (admission bound).
+  size_t queued_rows_ = 0;
+  /// Rows admitted but not yet flushed: Submit wakes the scheduler
+  /// before its deadline only once these could fill a batch.
+  size_t unflushed_rows_ = 0;
+  /// The scheduler is waiting with no batch pending, so no deadline
+  /// will wake it.
+  bool scheduler_idle_ = false;
   bool started_ = false;
   bool stopping_ = false;
 

@@ -130,7 +130,7 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
   {
     TreeModel::Node root;
     int32_t id = model.AddNode(std::move(root));
-    stack.push_back(Frame{id, 0, rows.size(), 0});
+    stack.push_back(Frame{id, 0, rows.size(), 0, nullptr});
   }
 
   std::vector<uint32_t> scratch;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <future>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -585,6 +589,199 @@ TEST(FleetRouterTest, RegressionValuesAreByteIdentical) {
     // Byte-identical doubles, not approximately equal.
     EXPECT_EQ(std::memcmp(&r->values[0], &reference[row], sizeof(double)), 0)
         << "row " << row;
+  }
+}
+
+// Version pinning: requests of more rows than the replicas' max_batch
+// race pushes that alternate two forests. Every reply must come from
+// one model version: each of its rows matches the forest of
+// reply.version.
+TEST(FleetRouterTest, EveryReplyRowMatchesItsVersion) {
+  DataTable table = FleetData(256, 61);
+  const ForestModel forests[2] = {TrainFleetForest(table, 17, 6),
+                                  TrainFleetForest(table, 5, 1)};
+  const std::vector<int32_t> refs[2] = {ReferenceLabels(forests[0], table),
+                                        ReferenceLabels(forests[1], table)};
+  const std::string bytes[2] = {SerializeForest(forests[0]),
+                                SerializeForest(forests[1])};
+  size_t differs = 0;
+  for (size_t i = 0; i < refs[0].size(); ++i) {
+    differs += refs[0][i] != refs[1][i];
+  }
+  ASSERT_GT(differs, table.num_rows() / 10);
+
+  FleetHarness fleet(2);  // max_batch 16
+  fleet.Start();
+  ASSERT_TRUE(fleet.router->Push("m", bytes[0]).ok());
+
+  // Version v holds forest (v - 1) % 2 on every replica.
+  constexpr int kPushes = 40;
+  std::atomic<bool> done{false};
+  std::thread pusher([&] {
+    for (int i = 1; i <= kPushes; ++i) {
+      EXPECT_TRUE(fleet.router->Push("m", bytes[i % 2]).ok());
+    }
+    done.store(true);
+  });
+
+  constexpr uint32_t kRows = 40;
+  struct Sent {
+    uint32_t begin;
+    std::future<Result<FleetBatchResult>> reply;
+  };
+  std::deque<Sent> outstanding;
+  size_t checked = 0;
+  size_t mixed = 0;
+  std::set<uint32_t> versions;
+  auto check_oldest = [&] {
+    Sent sent = std::move(outstanding.front());
+    outstanding.pop_front();
+    Result<FleetBatchResult> r = sent.reply.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->labels.size(), kRows);
+    const std::vector<int32_t>& ref = refs[(r->version - 1) % 2];
+    bool all_match = true;
+    for (uint32_t j = 0; j < kRows; ++j) {
+      all_match = all_match && r->labels[j] == ref[sent.begin + j];
+    }
+    mixed += !all_match;
+    versions.insert(r->version);
+    ++checked;
+  };
+  std::vector<uint32_t> rows(kRows);
+  for (uint32_t i = 0; !done.load() || i < 200; ++i) {
+    const uint32_t begin = i * 13 % (table.num_rows() - kRows);
+    for (uint32_t j = 0; j < kRows; ++j) rows[j] = begin + j;
+    outstanding.push_back(
+        {begin, fleet.router->PredictRows("m", table, rows.data(), kRows)});
+    if (outstanding.size() >= 16) check_oldest();
+  }
+  pusher.join();
+  while (!outstanding.empty()) check_oldest();
+
+  EXPECT_EQ(mixed, 0u) << "of " << checked << " replies";
+  EXPECT_GT(versions.size(), 2u);  // the reads really raced the pushes
+}
+
+// Row-denominated admission in a fleet: a request too large for one
+// replica's queue is rejected whole with Unavailable, and the router's
+// re-dispatch path answers it from another replica.
+TEST(FleetRouterTest, RejectedBlockIsAnsweredByAnotherReplica) {
+  DataTable table = FleetData(64, 62);
+  ForestModel forest = TrainFleetForest(table);
+  const std::vector<int32_t> reference = ReferenceLabels(forest, table);
+
+  MetricsRegistry metrics;
+  InProcessTransport net(2, 0.0);
+  std::vector<std::unique_ptr<FleetReplica>> replicas;
+  for (int r = 0; r < 2; ++r) {
+    FleetReplicaConfig rc;
+    rc.rank = r;
+    rc.serve.max_queue = r == 0 ? 8 : 4096;  // rows
+    rc.metrics = &metrics;
+    replicas.push_back(std::make_unique<FleetReplica>(&net, rc));
+    replicas.back()->Start();
+  }
+  FleetRouterConfig config;
+  config.metrics = &metrics;
+  FleetRouter router(&net, config);
+  router.Start();
+  ASSERT_TRUE(router.Push("m", SerializeForest(forest)).ok());
+
+  // An idle fleet sends the first request to replica 0, whose queue
+  // holds 8 rows.
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < 12; ++r) rows.push_back(r * 5);
+  for (int i = 0; i < 4; ++i) {
+    Result<FleetBatchResult> result =
+        router.PredictRows("m", table, rows.data(), rows.size()).get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->replica, 1);
+    ASSERT_EQ(result->labels.size(), rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      EXPECT_EQ(result->labels[j], reference[rows[j]]);
+    }
+  }
+  EXPECT_GE(replicas[0]->server()->GetStats().rejected, 1u);
+  EXPECT_EQ(replicas[1]->server()->GetStats().rejected, 0u);
+  EXPECT_GE(metrics.GetCounter("fleet.retransmits")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("fleet.shed")->value(), 0u);
+  router.Stop();
+  for (auto& r : replicas) r->Stop();
+}
+
+// A request whose task kind differs from the served model's is a hard
+// error, answered at once rather than left to time out.
+TEST(FleetRouterTest, TaskKindMismatchIsAHardError) {
+  DataTable regression = FleetData(64, 64, /*classes=*/0);
+  DataTable classification = FleetData(64, 64, /*classes=*/3);
+  FleetHarness fleet(1);
+  fleet.Start();
+  ASSERT_TRUE(
+      fleet.router->Push("m", SerializeForest(TrainFleetForest(regression)))
+          .ok());
+  Result<FleetBatchResult> r =
+      fleet.router->Predict("m", classification, 0).get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.router->GetStatus().retransmits, 0u);
+}
+
+// Stop with predicts in flight: it returns without hanging, every
+// predict taken from the mailbox has been answered, and nothing is
+// sent once it has returned.
+TEST(FleetReplicaTest, StopAnswersEveryInFlightPredict) {
+  DataTable table = FleetData(64, 63);
+  ForestModel forest = TrainFleetForest(table);
+  const std::vector<int32_t> reference = ReferenceLabels(forest, table);
+
+  InProcessTransport net(1, 0.0);
+  FleetReplicaConfig rc;
+  rc.serve.max_batch = 1000;
+  rc.serve.batch_deadline_us = 500000;  // Stop must not wait it out
+  MetricsRegistry metrics;
+  rc.metrics = &metrics;
+  FleetReplica replica(&net, rc);
+  ASSERT_TRUE(replica.registry()->Publish("m", forest).ok());
+  replica.Start();
+
+  constexpr uint64_t kRequests = 30;
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    std::vector<uint32_t> rows;
+    for (uint32_t r = 0; r < 1 + id % 9; ++r) rows.push_back((id + r) % 64);
+    Message msg;
+    msg.dst = 0;
+    msg.type = static_cast<uint32_t>(FleetMsg::kPredict);
+    msg.payload = FleetPredictMsg::FromRows(id, "m", table, rows.data(),
+                                            rows.size())
+                      .Encode();
+    ASSERT_TRUE(net.Send(ChannelKind::kTask, std::move(msg)));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  replica.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+
+  std::set<uint64_t> answered;
+  while (std::optional<Message> msg = net.master_queue().TryPop()) {
+    ASSERT_EQ(msg->type, static_cast<uint32_t>(FleetMsg::kPredictReply));
+    FleetPredictReplyMsg reply;
+    ASSERT_TRUE(FleetPredictReplyMsg::Decode(msg->payload, &reply).ok());
+    ASSERT_EQ(reply.status_code, static_cast<uint8_t>(StatusCode::kOk))
+        << reply.error;
+    EXPECT_EQ(reply.version, 1u);
+    ASSERT_EQ(reply.labels.size(), 1 + reply.request_id % 9);
+    for (uint32_t r = 0; r < reply.labels.size(); ++r) {
+      EXPECT_EQ(reply.labels[r], reference[(reply.request_id + r) % 64]);
+    }
+    answered.insert(reply.request_id);
+  }
+  EXPECT_EQ(answered.size(), kRequests);
+  // A reply sent after Stop returned would land on the closed
+  // transport and count as dropped.
+  net.CloseAll();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  for (const auto& endpoint : net.GetStats().endpoints) {
+    EXPECT_EQ(endpoint.msgs_dropped, 0u);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -304,7 +305,9 @@ TEST_F(ModelIoTest, EveryTruncationRejectedCleanly) {
        len += 1 + len / 7 /* denser near the header */) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    if (len > 0) ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+    if (len > 0) {
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, len, f), len);
+    }
     std::fclose(f);
     ForestModel out;
     EXPECT_FALSE(LoadFromFile(path, &out).ok()) << "prefix " << len;
@@ -792,6 +795,273 @@ TEST(InferenceServerTest, StopDrainsQueuedWork) {
   late.model = "m";
   late.table = table;
   EXPECT_FALSE(server.Predict(std::move(late)).get().ok());
+}
+
+/// Submits a block and returns a future of its completion.
+std::future<Result<BlockPrediction>> SubmitBlock(
+    InferenceServer* server, const std::string& model,
+    std::shared_ptr<const DataTable> table, std::vector<uint32_t> rows,
+    bool want_pmf = false) {
+  auto promise = std::make_shared<std::promise<Result<BlockPrediction>>>();
+  std::future<Result<BlockPrediction>> future = promise->get_future();
+  server->Submit({model, std::move(table), std::move(rows), -1, want_pmf},
+                 [promise](Result<BlockPrediction> r) {
+                   promise->set_value(std::move(r));
+                 });
+  return future;
+}
+
+std::vector<uint32_t> RowRange(uint32_t begin, uint32_t end) {
+  std::vector<uint32_t> rows;
+  for (uint32_t r = begin; r < end; ++r) rows.push_back(r);
+  return rows;
+}
+
+TEST(InferenceServerTest, BlockMatchesRowAtATimePrediction) {
+  auto table = std::make_shared<DataTable>(MixedData(3, 120, 79));
+  ForestModel forest = TrainSmallForest(*table, 5, 6);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", forest).ok());
+  MetricsRegistry metrics;
+  InferenceServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.metrics = &metrics;
+  InferenceServer server(&registry, cfg);
+  server.Start();
+  // Scattered rows, a repeat, and a block sharing its table with a
+  // second one: grouped into one traversal and split back per block.
+  const std::vector<uint32_t> rows = {7, 3, 119, 3, 0, 64};
+  auto a = SubmitBlock(&server, "m", table, rows, /*want_pmf=*/true);
+  auto b = SubmitBlock(&server, "m", table, {5});
+  Result<BlockPrediction> ra = a.get();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  EXPECT_EQ(ra->model_version, 1u);
+  ASSERT_EQ(ra->labels.size(), rows.size());
+  const size_t k = forest.PredictPmf(*table, 0).size();
+  ASSERT_EQ(ra->pmf.size(), rows.size() * k);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(ra->labels[i], forest.PredictLabel(*table, rows[i]));
+    const std::vector<float> pmf(ra->pmf.begin() + i * k,
+                                 ra->pmf.begin() + (i + 1) * k);
+    EXPECT_EQ(pmf, forest.PredictPmf(*table, rows[i]));
+  }
+  Result<BlockPrediction> rb = b.get();
+  ASSERT_TRUE(rb.ok());
+  ASSERT_EQ(rb->labels.size(), 1u);
+  EXPECT_EQ(rb->labels[0], forest.PredictLabel(*table, 5));
+  EXPECT_TRUE(rb->pmf.empty());
+  // An empty block is answered too, with the version it was pinned to.
+  Result<BlockPrediction> empty = SubmitBlock(&server, "m", table, {}).get();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->model_version, 1u);
+  EXPECT_TRUE(empty->labels.empty());
+  server.Stop();
+  EXPECT_EQ(metrics.GetCounter("serve.requests")->value(), 3u);
+}
+
+// Version pinning: a block queued across a publish is scored whole by
+// the version current at its flush, never partly by each.
+TEST(InferenceServerTest, QueuedBlockIsScoredByOneVersion) {
+  auto table = std::make_shared<DataTable>(MixedData(3, 200, 80));
+  const ForestModel v1 = TrainSmallForest(*table, 1, 2, 1);
+  const ForestModel v2 = TrainSmallForest(*table, 6, 7, 2);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", v1).ok());
+  InferenceServerConfig cfg;
+  cfg.max_batch = 4;  // far smaller than the block
+  MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  InferenceServer server(&registry, cfg);
+  // Not started: the block stays queued while v2 is published.
+  auto block = SubmitBlock(&server, "m", table, RowRange(0, 200));
+  ASSERT_TRUE(registry.Publish("m", v2).ok());
+  server.Start();
+  Result<BlockPrediction> r = block.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->model_version, 2u);
+  ASSERT_EQ(r->labels.size(), 200u);
+  size_t differs = 0;
+  for (uint32_t row = 0; row < 200; ++row) {
+    EXPECT_EQ(r->labels[row], v2.PredictLabel(*table, row)) << "row " << row;
+    differs += v1.PredictLabel(*table, row) != v2.PredictLabel(*table, row);
+  }
+  // The two versions disagree somewhere, so a mixed block would show.
+  EXPECT_GT(differs, 0u);
+}
+
+// Version pinning under live hot-swaps: blocks far larger than
+// max_batch keep arriving while a publisher alternates two forests;
+// every row of every block matches the forest of the block's version.
+TEST(InferenceServerTest, BlocksStayOnOneVersionUnderHotSwaps) {
+  auto table = std::make_shared<DataTable>(MixedData(3, 300, 81));
+  const ForestModel forests[2] = {TrainSmallForest(*table, 1, 2, 1),
+                                  TrainSmallForest(*table, 6, 7, 2)};
+  std::vector<int32_t> refs[2];
+  for (int f = 0; f < 2; ++f) {
+    for (uint32_t row = 0; row < table->num_rows(); ++row) {
+      refs[f].push_back(forests[f].PredictLabel(*table, row));
+    }
+  }
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", forests[0]).ok());
+  InferenceServerConfig cfg;
+  cfg.num_workers = 2;
+  cfg.max_batch = 8;
+  cfg.batch_deadline_us = 50;
+  cfg.max_queue = 1 << 20;
+  MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  InferenceServer server(&registry, cfg);
+  server.Start();
+
+  // Version v holds forest (v - 1) % 2.
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    for (int i = 1; i <= 30; ++i) {
+      ASSERT_TRUE(registry.Publish("m", forests[i % 2]).ok());
+      registry.RetireOldVersions("m", 4);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    done.store(true);
+  });
+  std::vector<std::future<Result<BlockPrediction>>> blocks;
+  while (!done.load() && blocks.size() < 5000) {
+    const uint32_t begin = static_cast<uint32_t>(blocks.size() * 7 % 260);
+    blocks.push_back(SubmitBlock(&server, "m", table,
+                                 RowRange(begin, begin + 37)));
+  }
+  publisher.join();
+
+  std::set<uint32_t> versions;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    Result<BlockPrediction> r = blocks[i].get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->labels.size(), 37u);
+    const std::vector<int32_t>& ref = refs[(r->model_version - 1) % 2];
+    const uint32_t begin = static_cast<uint32_t>(i * 7 % 260);
+    for (uint32_t j = 0; j < 37; ++j) {
+      ASSERT_EQ(r->labels[j], ref[begin + j])
+          << "block " << i << " row " << j << " version "
+          << r->model_version;
+    }
+    versions.insert(r->model_version);
+  }
+  server.Stop();
+  EXPECT_GT(versions.size(), 1u);  // the load really overlapped swaps
+}
+
+// A block is never split across flushes: max_batch counts rows, a
+// block that would overfill a batch flushes the batch first, and a
+// block larger than max_batch is flushed alone.
+TEST(InferenceServerTest, BlockLargerThanMaxBatchIsFlushedAlone) {
+  auto table = std::make_shared<DataTable>(MixedData(2, 50, 82));
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", TrainSmallForest(*table, 2, 4)).ok());
+  MetricsRegistry metrics;
+  InferenceServerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.metrics = &metrics;
+  InferenceServer server(&registry, cfg);
+  // Queued before Start so the scheduler sees all three at once.
+  auto a = SubmitBlock(&server, "m", table, RowRange(0, 3));
+  auto b = SubmitBlock(&server, "m", table, RowRange(3, 13));
+  auto c = SubmitBlock(&server, "m", table, RowRange(13, 15));
+  server.Start();
+  EXPECT_TRUE(a.get().ok());
+  EXPECT_TRUE(b.get().ok());
+  EXPECT_TRUE(c.get().ok());
+  server.Stop();
+  // Batches of 3, 10 and 2 rows.
+  EXPECT_EQ(server.GetStats().batches, 3u);
+  Histogram* rows = metrics.GetHistogram("serve.batch_rows");
+  EXPECT_EQ(rows->Count(), 3u);
+  EXPECT_EQ(rows->Sum(), 15u);
+  EXPECT_EQ(rows->Max(), 10u);
+}
+
+// Admission counts rows: a 16-row block takes the budget of 16 one-row
+// requests, and a block that does not fit is rejected whole.
+TEST(InferenceServerTest, AdmissionCountsRowsAndRejectsWholeBlocks) {
+  auto table = std::make_shared<DataTable>(MixedData(2, 50, 83));
+  ForestModel forest = TrainSmallForest(*table, 2, 4);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", forest).ok());
+  MetricsRegistry metrics;
+  InferenceServerConfig cfg;
+  cfg.max_queue = 16;
+  cfg.metrics = &metrics;
+  InferenceServer server(&registry, cfg);
+  auto first = SubmitBlock(&server, "m", table, RowRange(0, 10));
+  EXPECT_EQ(server.queue_depth(), 10u);
+  Result<BlockPrediction> overflow =
+      SubmitBlock(&server, "m", table, RowRange(10, 17)).get();
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kUnavailable);
+  auto second = SubmitBlock(&server, "m", table, RowRange(10, 16));
+  EXPECT_EQ(server.queue_depth(), 16u);
+  PredictRequest one;
+  one.model = "m";
+  one.table = table;
+  EXPECT_EQ(server.Predict(std::move(one)).get().status().code(),
+            StatusCode::kUnavailable);
+  // Larger than the whole bound: never fits.
+  EXPECT_EQ(
+      SubmitBlock(&server, "m", table, RowRange(0, 17)).get().status().code(),
+      StatusCode::kUnavailable);
+  EXPECT_EQ(server.GetStats().rejected, 3u);
+  EXPECT_EQ(metrics.GetCounter("serve.rejected")->value(), 3u);
+
+  server.Start();
+  Result<BlockPrediction> r1 = first.get();
+  Result<BlockPrediction> r2 = second.get();
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  for (uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(r1->labels[i], forest.PredictLabel(*table, i));
+  }
+  for (uint32_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(r2->labels[i], forest.PredictLabel(*table, 10 + i));
+  }
+  server.Stop();
+  EXPECT_EQ(server.queue_depth(), 0u);  // executed rows leave the bound
+}
+
+// Stop with blocks in flight returns, and every completion has run by
+// then: answered when the server ran, failed when it never started.
+TEST(InferenceServerTest, StopResolvesEveryInFlightBlock) {
+  auto table = std::make_shared<DataTable>(MixedData(2, 100, 84));
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("m", TrainSmallForest(*table, 2, 4)).ok());
+  for (const bool start : {true, false}) {
+    InferenceServerConfig cfg;
+    cfg.max_batch = 1000;
+    cfg.batch_deadline_us = 500000;  // Stop must not wait it out
+    MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    InferenceServer server(&registry, cfg);
+    if (start) server.Start();
+    std::atomic<int> answered{0};
+    std::atomic<int> failed{0};
+    for (uint32_t i = 0; i < 40; ++i) {
+      server.Submit({"m", table, RowRange(i, i + 1 + i % 7), -1, false},
+                    [&](Result<BlockPrediction> r) {
+                      (r.ok() ? answered : failed).fetch_add(1);
+                    });
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    server.Stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+    EXPECT_EQ(answered.load(), start ? 40 : 0);
+    EXPECT_EQ(failed.load(), start ? 0 : 40);
+    // After Stop the completion runs at once, on the calling thread.
+    bool refused = false;
+    server.Submit({"m", table, {0}, -1, false},
+                  [&](Result<BlockPrediction> r) {
+                    refused = r.status().code() ==
+                              StatusCode::kFailedPrecondition;
+                  });
+    EXPECT_TRUE(refused);
+  }
 }
 
 

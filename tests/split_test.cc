@@ -99,7 +99,9 @@ TEST(SplitTest, RowSubsetIsRespected) {
       FindBestSplit(*x, 0, *y, ClsCtx(2), rows.data(), rows.size());
   // Pure subset: any split has zero gain, trainer would reject; the
   // finder may still report a candidate but with gain 0.
-  if (o.valid) EXPECT_NEAR(o.gain, 0.0, 1e-12);
+  if (o.valid) {
+    EXPECT_NEAR(o.gain, 0.0, 1e-12);
+  }
 }
 
 TEST(SplitTest, NumericRegressionFindsCut) {
