@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <utility>
@@ -89,20 +88,27 @@ void InferenceServer::Start() {
 
 void InferenceServer::Stop() {
   if (http_ != nullptr) http_->Stop();
-  std::deque<PendingBlock> orphaned;
+  std::vector<Batch> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
     stopping_ = true;
     if (!started_) {
       // Never ran: fail whatever was admitted pre-Start.
-      orphaned.swap(queue_);
+      orphaned.swap(ready_);
+      for (auto& [model, batch] : pending_) {
+        orphaned.push_back(std::move(batch));
+      }
+      pending_.clear();
       queued_rows_ = 0;
     }
   }
   cv_.notify_all();
-  for (PendingBlock& p : orphaned) {
-    p.done(Status::FailedPrecondition("inference server stopped before start"));
+  for (Batch& batch : orphaned) {
+    for (PendingBlock& item : batch.blocks) {
+      Fail(&item,
+           Status::FailedPrecondition("inference server stopped before start"));
+    }
   }
   if (scheduler_.joinable()) scheduler_.join();
   batches_.Close();
@@ -113,36 +119,57 @@ void InferenceServer::Stop() {
 }
 
 void InferenceServer::Submit(PredictBlock block, BlockDone done) {
+  PendingBlock item;
+  item.table = std::move(block.table);
+  item.block_rows = std::move(block.rows);
+  item.max_depth = block.max_depth;
+  item.want_pmf = block.want_pmf;
+  item.done = std::move(done);
+  Enqueue(std::move(block.model), std::move(item));
+}
+
+std::future<Result<Prediction>> InferenceServer::Predict(
+    PredictRequest request) {
+  PendingBlock item;
+  item.table = std::move(request.table);
+  item.row = request.row;
+  item.max_depth = request.max_depth;
+  item.want_pmf = request.want_pmf;
+  std::future<Result<Prediction>> future =
+      item.done.emplace<OneRowDone>().get_future();
+  Enqueue(std::move(request.model), std::move(item));
+  return future;
+}
+
+void InferenceServer::Enqueue(std::string&& model, PendingBlock&& item) {
   requests_total_->Inc();
   requests_.Inc();
-  const DataTable* table = block.table.get();
+  const DataTable* table = item.table.get();
+  const size_t rows = item.num_rows();
   if (table == nullptr ||
-      std::any_of(block.rows.begin(), block.rows.end(),
+      std::any_of(item.rows(), item.rows() + rows,
                   [&](uint32_t r) { return r >= table->num_rows(); })) {
-    done(Status::InvalidArgument(
-        "predict block has no table or an out-of-range row"));
+    Fail(&item, Status::InvalidArgument(
+                    "predict block has no table or an out-of-range row"));
     return;
   }
 
-  const size_t rows = block.rows.size();
+  item.enqueue_ns = NowNanos();
   Status refused;
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       refused = Status::FailedPrecondition("inference server is stopped");
-    } else if (queued_rows_ + rows > config_.max_queue) {
+    } else if (const size_t queued = queued_rows_.load();
+               queued > 0 && queued + rows > config_.max_queue) {
       refused = Status::Unavailable(
-          "inference queue full (" + std::to_string(queued_rows_) + " of " +
+          "inference queue full (" + std::to_string(queued) + " of " +
           std::to_string(config_.max_queue) + " rows pending, block of " +
           std::to_string(rows) + "); retry later");
     } else {
       queued_rows_ += rows;
-      unflushed_rows_ += rows;
-      queue_.push_back({std::move(block), std::move(done), NowNanos()});
-      const size_t max_batch =
-          static_cast<size_t>(std::max(1, config_.max_batch));
-      wake = scheduler_idle_ || unflushed_rows_ >= max_batch;
+      wake = AddToBatchLocked(std::move(model), std::move(item));
     }
   }
   if (refused.ok()) {
@@ -153,37 +180,50 @@ void InferenceServer::Submit(PredictBlock block, BlockDone done) {
     requests_rejected_->Inc();
     rejected_.Inc();
   }
-  done(std::move(refused));
+  Fail(&item, std::move(refused));
 }
 
-std::future<Result<Prediction>> InferenceServer::Predict(
-    PredictRequest request) {
-  // Owned by the completion, which runs exactly once. A raw pointer
-  // keeps the callable small enough for std::function to store inline.
-  auto* promise = new std::promise<Result<Prediction>>();
-  std::future<Result<Prediction>> future = promise->get_future();
-  Submit({std::move(request.model), std::move(request.table), {request.row},
-          request.max_depth, request.want_pmf},
-         [promise](Result<BlockPrediction> block) {
-           std::unique_ptr<std::promise<Result<Prediction>>> owned(promise);
-           if (!block.ok()) {
-             owned->set_value(block.status());
-             return;
-           }
-           Prediction out;
-           out.model_version = block->model_version;
-           if (!block->labels.empty()) out.label = block->labels[0];
-           if (!block->values.empty()) out.value = block->values[0];
-           out.pmf = std::move(block->pmf);
-           owned->set_value(std::move(out));
-         });
-  return future;
+bool InferenceServer::AddToBatchLocked(std::string&& model,
+                                       PendingBlock&& item) {
+  const size_t max_batch = static_cast<size_t>(std::max(1, config_.max_batch));
+  const size_t rows = item.num_rows();
+  bool filled = false;
+  // A block is never split: one that would overfill its model's batch
+  // readies the batch first, and a batch is ready once it holds
+  // max_batch rows.
+  auto it = pending_.find(model);
+  if (it != pending_.end() && it->second.rows + rows > max_batch) {
+    ready_.push_back(std::move(it->second));
+    pending_.erase(it);
+    it = pending_.end();
+    filled = true;
+  }
+  if (it == pending_.end()) {
+    it = pending_.try_emplace(std::move(model)).first;
+    it->second.model = it->first;
+    // Room for a full batch of blocks the size of this one.
+    it->second.blocks.reserve(max_batch / std::max<size_t>(rows, 1));
+  }
+  Batch& batch = it->second;
+  batch.rows += rows;
+  batch.blocks.push_back(std::move(item));
+  if (batch.rows >= max_batch) {
+    ready_.push_back(std::move(batch));
+    pending_.erase(it);
+    filled = true;
+  }
+  return filled || scheduler_idle_;
 }
 
-size_t InferenceServer::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_rows_;
+void InferenceServer::Fail(PendingBlock* item, Status status) {
+  if (item->one_row()) {
+    std::get<OneRowDone>(item->done).set_value(std::move(status));
+  } else {
+    std::get<BlockDone>(item->done)(std::move(status));
+  }
 }
+
+size_t InferenceServer::queue_depth() const { return queued_rows_.load(); }
 
 InferenceServer::Stats InferenceServer::GetStats() const {
   Stats stats;
@@ -201,73 +241,53 @@ uint16_t InferenceServer::http_port() const {
 void InferenceServer::SchedulerLoop() {
   const uint64_t deadline_ns =
       static_cast<uint64_t>(std::max(0, config_.batch_deadline_us)) * 1000;
-  const size_t max_batch = static_cast<size_t>(std::max(1, config_.max_batch));
-
-  // Per-model batches being accumulated; `enqueue_ns` of a batch's
-  // first block is its age for the deadline check.
-  std::map<std::string, Batch> pending;
+  std::vector<Batch> flushing;
 
   std::unique_lock<std::mutex> lock(mu_);
-  auto flush = [&](Batch* batch) {
-    Batch full = std::exchange(*batch, Batch{});
-    unflushed_rows_ -= full.rows;
-    lock.unlock();
-    Flush(std::move(full));
-    lock.lock();
-  };
   while (true) {
-    if (pending.empty()) {
-      scheduler_idle_ = true;
-      cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
-      scheduler_idle_ = false;
-    } else {
-      // Sleep until the oldest pending block is due. New blocks end
-      // the sleep early only when the unflushed rows could fill a
-      // batch, so blocks arriving meanwhile are drained together.
-      uint64_t due = UINT64_MAX;
-      for (const auto& [model, batch] : pending) {
-        due = std::min(due, batch.blocks.front().enqueue_ns + deadline_ns);
-      }
-      const uint64_t now = NowNanos();
-      if (due > now) {
-        cv_.wait_for(lock, std::chrono::nanoseconds(due - now), [&] {
-          return (!queue_.empty() && unflushed_rows_ >= max_batch) ||
-                 stopping_;
+    if (ready_.empty() && !stopping_) {
+      if (pending_.empty()) {
+        scheduler_idle_ = true;
+        cv_.wait(lock, [&] {
+          return !ready_.empty() || !pending_.empty() || stopping_;
         });
+        scheduler_idle_ = false;
+      } else {
+        // Sleep until the oldest pending batch is due. Admission ends
+        // the sleep early only when a batch fills, so blocks arriving
+        // meanwhile are batched together.
+        uint64_t due = UINT64_MAX;
+        for (const auto& [model, batch] : pending_) {
+          due = std::min(due, batch.blocks.front().enqueue_ns + deadline_ns);
+        }
+        const uint64_t now = NowNanos();
+        if (due > now) {
+          cv_.wait_for(lock, std::chrono::nanoseconds(due - now),
+                       [&] { return !ready_.empty() || stopping_; });
+        }
       }
     }
 
-    // Drain the intake queue into per-model batches. A block is never
-    // split: one that would overfill its batch flushes the batch
-    // first, and a batch is flushed once it holds max_batch rows.
-    while (!queue_.empty()) {
-      PendingBlock item = std::move(queue_.front());
-      queue_.pop_front();
-      const size_t rows = item.block.rows.size();
-      Batch& batch = pending[item.block.model];
-      if (!batch.blocks.empty() && batch.rows + rows > max_batch) {
-        flush(&batch);
-      }
-      if (batch.blocks.empty()) batch.model = item.block.model;
-      batch.rows += rows;
-      batch.blocks.push_back(std::move(item));
-      if (batch.rows >= max_batch) flush(&batch);
-    }
-
+    // Batches whose oldest block aged past the deadline are ready too
+    // (all of them when draining for shutdown).
     const bool draining = stopping_;
-    // Flush batches whose oldest block aged past the deadline (all of
-    // them when draining for shutdown).
     const uint64_t now = NowNanos();
-    for (auto it = pending.begin(); it != pending.end();) {
-      Batch& batch = it->second;
-      if (!batch.blocks.empty() &&
-          (draining || now - batch.blocks.front().enqueue_ns >= deadline_ns)) {
-        flush(&batch);
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      const uint64_t age = now - it->second.blocks.front().enqueue_ns;
+      if (draining || age >= deadline_ns) {
+        ready_.push_back(std::move(it->second));
+        it = pending_.erase(it);
+      } else {
+        ++it;
       }
-      it = batch.blocks.empty() ? pending.erase(it) : std::next(it);
     }
+    flushing.swap(ready_);
+    lock.unlock();
+    for (Batch& batch : flushing) Flush(std::move(batch));
+    flushing.clear();
+    lock.lock();
 
-    if (draining && queue_.empty() && pending.empty()) break;
+    if (draining && ready_.empty() && pending_.empty()) break;
   }
 }
 
@@ -290,10 +310,7 @@ void InferenceServer::WorkerLoop() {
   while (true) {
     std::optional<Batch> batch = batches_.Pop();
     if (!batch.has_value()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queued_rows_ -= batch->rows;
-    }
+    queued_rows_ -= batch->rows;
     ExecuteBatch(std::move(*batch));
   }
 }
@@ -301,7 +318,7 @@ void InferenceServer::WorkerLoop() {
 void InferenceServer::ExecuteBatch(Batch batch) {
   if (batch.served == nullptr) {
     for (PendingBlock& item : batch.blocks) {
-      item.done(Status::NotFound("no published model named " + batch.model));
+      Fail(&item, Status::NotFound("no published model named " + batch.model));
     }
     return;
   }
@@ -320,8 +337,8 @@ void InferenceServer::ExecuteBatch(Batch batch) {
   };
   std::map<GroupKey, std::vector<size_t>> groups;
   for (size_t i = 0; i < batch.blocks.size(); ++i) {
-    const PredictBlock& block = batch.blocks[i].block;
-    groups[{block.table.get(), block.max_depth}].push_back(i);
+    const PendingBlock& item = batch.blocks[i];
+    groups[{item.table.get(), item.max_depth}].push_back(i);
   }
 
   const bool classification = compiled.is_classification();
@@ -333,8 +350,8 @@ void InferenceServer::ExecuteBatch(Batch batch) {
   for (const auto& [key, members] : groups) {
     rows.clear();
     for (size_t i : members) {
-      const std::vector<uint32_t>& r = batch.blocks[i].block.rows;
-      rows.insert(rows.end(), r.begin(), r.end());
+      const PendingBlock& item = batch.blocks[i];
+      rows.insert(rows.end(), item.rows(), item.rows() + item.num_rows());
     }
     if (classification) {
       // One traversal: the labels are the argmax of the PMF.
@@ -355,24 +372,39 @@ void InferenceServer::ExecuteBatch(Batch batch) {
     }
 
     const uint64_t done_ns = NowNanos();
+    const uint32_t version = batch.served->version;
     size_t begin = 0;
     for (size_t i : members) {
       PendingBlock& item = batch.blocks[i];
-      const size_t end = begin + item.block.rows.size();
-      BlockPrediction out;
-      out.model_version = batch.served->version;
-      if (classification) {
-        out.labels.assign(labels.begin() + begin, labels.begin() + end);
-        if (item.block.want_pmf) {
-          out.pmf.assign(pmf.begin() + begin * num_classes,
+      const size_t end = begin + item.num_rows();
+      latency->Add((done_ns - item.enqueue_ns) / 1000);
+      std::vector<float> block_pmf;
+      if (classification && item.want_pmf) {
+        block_pmf.assign(pmf.begin() + begin * num_classes,
                          pmf.begin() + end * num_classes);
+      }
+      if (item.one_row()) {
+        Prediction out;
+        out.model_version = version;
+        out.pmf = std::move(block_pmf);
+        if (classification) {
+          out.label = labels[begin];
+        } else {
+          out.value = values[begin];
         }
+        std::get<OneRowDone>(item.done).set_value(std::move(out));
       } else {
-        out.values.assign(values.begin() + begin, values.begin() + end);
+        BlockPrediction out;
+        out.model_version = version;
+        out.pmf = std::move(block_pmf);
+        if (classification) {
+          out.labels.assign(labels.begin() + begin, labels.begin() + end);
+        } else {
+          out.values.assign(values.begin() + begin, values.begin() + end);
+        }
+        std::get<BlockDone>(item.done)(std::move(out));
       }
       begin = end;
-      latency->Add((done_ns - item.enqueue_ns) / 1000);
-      item.done(std::move(out));
     }
   }
 }

@@ -1,15 +1,17 @@
 #ifndef TREESERVER_SERVE_SERVER_H_
 #define TREESERVER_SERVE_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/http_server.h"
@@ -30,8 +32,9 @@ struct InferenceServerConfig {
   int batch_deadline_us = 200;
   /// Admission bound, in rows: Submit() rejects a block with
   /// Unavailable when it would take the rows admitted but not yet
-  /// executing past this bound (backpressure). A block larger than the
-  /// bound never fits.
+  /// executing past this bound (backpressure). A block is always
+  /// admitted when no rows are queued, so one larger than the bound
+  /// waits for the server to drain instead of failing forever.
   size_t max_queue = 4096;
   /// Destination for serving metrics; nullptr uses
   /// MetricsRegistry::Global(). Metrics:
@@ -98,18 +101,22 @@ struct Prediction {
 /// In-process micro-batching prediction server over a ModelRegistry.
 ///
 /// Submit() enqueues a block of rows and returns at once; the block's
-/// completion runs when it has been scored. A scheduler thread groups
-/// blocks per model and flushes a batch when it holds `max_batch` rows
-/// or its oldest block ages past `batch_deadline_us`. A block is never
-/// split: one that would overfill the batch flushes the batch first,
-/// and one of `max_batch` rows or more is flushed alone. The model
-/// version is resolved once per flush (atomic registry load), so every
-/// row of a block is scored by one version and a hot-swapped model
-/// takes over between blocks, never inside one. Worker threads execute
+/// completion runs when it has been scored. Blocks are grouped into
+/// per-model batches as they are admitted, and a scheduler thread
+/// flushes a batch once it holds `max_batch` rows or its oldest block
+/// ages past `batch_deadline_us`; it wakes before a deadline only when
+/// a batch fills. A block is never split: one that would overfill the
+/// batch flushes the batch first, and one of `max_batch` rows or more
+/// is flushed alone. The model version is resolved once per flush
+/// (atomic registry load), so every row of a block is scored by one
+/// version and a hot-swapped model takes over between blocks, never
+/// inside one. Worker threads execute
 /// batches through the compiled predictors, grouping blocks by (table,
 /// max_depth) so each group is a single batched traversal. Admission
 /// control rejects rows beyond `max_queue` instead of queueing
-/// unboundedly.
+/// unboundedly. Predict() is a one-row block on the same path whose
+/// row and promise are held inline, so its only per-row allocation is
+/// the future's shared state.
 ///
 /// Blocks may be submitted before Start(): they are admitted against
 /// the same bound and served once the server starts.
@@ -128,7 +135,8 @@ class InferenceServer {
 
   /// Queues one block. `done` runs exactly once, with the block's
   /// predictions or with NotFound (unknown model), Unavailable (queue
-  /// full), InvalidArgument (no table or an out-of-range row) or
+  /// full: other rows are queued and this block does not fit beside
+  /// them), InvalidArgument (no table or an out-of-range row) or
   /// FailedPrecondition (server stopped). It runs on the calling
   /// thread when the block is refused here, on the thread calling
   /// Stop() when the server never started, and on a worker thread
@@ -158,10 +166,25 @@ class InferenceServer {
   uint16_t http_port() const;
 
  private:
+  /// A one-row Predict keeps its row in `row` and resolves a promise;
+  /// a Submit block owns its rows and runs its callback. The model name
+  /// lives in the block's batch.
+  using OneRowDone = std::promise<Result<Prediction>>;
   struct PendingBlock {
-    PredictBlock block;
-    BlockDone done;
+    std::shared_ptr<const DataTable> table;
+    /// Empty for a one-row Predict.
+    std::vector<uint32_t> block_rows;
+    uint32_t row = 0;
+    int max_depth = -1;
+    bool want_pmf = false;
+    std::variant<BlockDone, OneRowDone> done;
     uint64_t enqueue_ns = 0;
+
+    bool one_row() const { return done.index() == 1; }
+    const uint32_t* rows() const {
+      return one_row() ? &row : block_rows.data();
+    }
+    size_t num_rows() const { return one_row() ? 1 : block_rows.size(); }
   };
   /// Blocks of one model flushed together.
   struct Batch {
@@ -172,6 +195,13 @@ class InferenceServer {
     size_t rows = 0;
   };
 
+  /// Validates and admits one block of `model` (the shared tail of
+  /// Submit and Predict).
+  void Enqueue(std::string&& model, PendingBlock&& item);
+  /// Adds an admitted block to its model's batch; returns whether the
+  /// scheduler must wake (a batch filled, or it sleeps with none).
+  bool AddToBatchLocked(std::string&& model, PendingBlock&& item);
+  static void Fail(PendingBlock* item, Status status);
   void SchedulerLoop();
   void WorkerLoop();
   void ExecuteBatch(Batch batch);
@@ -193,12 +223,15 @@ class InferenceServer {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<PendingBlock> queue_;
+  /// Per-model batches still filling; every entry holds a block, and
+  /// the oldest block's `enqueue_ns` is the batch's age.
+  std::map<std::string, Batch> pending_;
+  /// Batches that are full or due, waiting for the scheduler to flush.
+  std::vector<Batch> ready_;
   /// Rows admitted but not yet picked up by a worker (admission bound).
-  size_t queued_rows_ = 0;
-  /// Rows admitted but not yet flushed: Submit wakes the scheduler
-  /// before its deadline only once these could fill a batch.
-  size_t unflushed_rows_ = 0;
+  /// Added under `mu_`; workers subtract without it, so they never
+  /// contend with admission.
+  std::atomic<size_t> queued_rows_{0};
   /// The scheduler is waiting with no batch pending, so no deadline
   /// will wake it.
   bool scheduler_idle_ = false;

@@ -663,38 +663,63 @@ TEST(FleetRouterTest, EveryReplyRowMatchesItsVersion) {
   EXPECT_GT(versions.size(), 2u);  // the reads really raced the pushes
 }
 
-// Row-denominated admission in a fleet: a request too large for one
-// replica's queue is rejected whole with Unavailable, and the router's
-// re-dispatch path answers it from another replica.
+/// Two started replicas on one in-process transport whose servers
+/// admit at most `max_queue[r]` queued rows, with a router that has
+/// published `forest` as "m".
+struct AdmissionFleet {
+  AdmissionFleet(const ForestModel& forest, const size_t (&max_queue)[2],
+                 int replica0_deadline_us = 200)
+      : net(2, 0.0) {
+    for (int r = 0; r < 2; ++r) {
+      FleetReplicaConfig rc;
+      rc.rank = r;
+      rc.serve.max_queue = max_queue[r];  // rows
+      if (r == 0) rc.serve.batch_deadline_us = replica0_deadline_us;
+      rc.metrics = &metrics;
+      replicas.push_back(std::make_unique<FleetReplica>(&net, rc));
+      replicas.back()->Start();
+    }
+    FleetRouterConfig config;
+    config.metrics = &metrics;
+    router = std::make_unique<FleetRouter>(&net, config);
+    router->Start();
+    EXPECT_TRUE(router->Push("m", SerializeForest(forest)).ok());
+  }
+  ~AdmissionFleet() {
+    router->Stop();
+    for (auto& r : replicas) r->Stop();
+  }
+
+  MetricsRegistry metrics;
+  InProcessTransport net;
+  std::vector<std::unique_ptr<FleetReplica>> replicas;
+  std::unique_ptr<FleetRouter> router;
+};
+
+// Row-denominated admission in a fleet: a request that does not fit
+// beside the rows a replica has queued is rejected whole with
+// Unavailable, and the router's re-dispatch path answers it from
+// another replica.
 TEST(FleetRouterTest, RejectedBlockIsAnsweredByAnotherReplica) {
   DataTable table = FleetData(64, 62);
   ForestModel forest = TrainFleetForest(table);
   const std::vector<int32_t> reference = ReferenceLabels(forest, table);
+  // Replica 0 holds a block for a minute, so its queue stays busy.
+  AdmissionFleet fleet(forest, {8, 4096}, /*replica0_deadline_us=*/60000000);
+  std::promise<Result<BlockPrediction>> held;
+  std::future<Result<BlockPrediction>> held_reply = held.get_future();
+  fleet.replicas[0]->server()->Submit(
+      {"m", std::make_shared<const DataTable>(table), {1, 2, 3, 4}, -1, false},
+      [&held](Result<BlockPrediction> r) { held.set_value(std::move(r)); });
+  ASSERT_EQ(fleet.replicas[0]->server()->queue_depth(), 4u);
 
-  MetricsRegistry metrics;
-  InProcessTransport net(2, 0.0);
-  std::vector<std::unique_ptr<FleetReplica>> replicas;
-  for (int r = 0; r < 2; ++r) {
-    FleetReplicaConfig rc;
-    rc.rank = r;
-    rc.serve.max_queue = r == 0 ? 8 : 4096;  // rows
-    rc.metrics = &metrics;
-    replicas.push_back(std::make_unique<FleetReplica>(&net, rc));
-    replicas.back()->Start();
-  }
-  FleetRouterConfig config;
-  config.metrics = &metrics;
-  FleetRouter router(&net, config);
-  router.Start();
-  ASSERT_TRUE(router.Push("m", SerializeForest(forest)).ok());
-
-  // An idle fleet sends the first request to replica 0, whose queue
-  // holds 8 rows.
+  // An idle fleet sends each request to replica 0 first, where its 12
+  // rows do not fit beside the 4 queued.
   std::vector<uint32_t> rows;
   for (uint32_t r = 0; r < 12; ++r) rows.push_back(r * 5);
   for (int i = 0; i < 4; ++i) {
     Result<FleetBatchResult> result =
-        router.PredictRows("m", table, rows.data(), rows.size()).get();
+        fleet.router->PredictRows("m", table, rows.data(), rows.size()).get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->replica, 1);
     ASSERT_EQ(result->labels.size(), rows.size());
@@ -702,12 +727,42 @@ TEST(FleetRouterTest, RejectedBlockIsAnsweredByAnotherReplica) {
       EXPECT_EQ(result->labels[j], reference[rows[j]]);
     }
   }
-  EXPECT_GE(replicas[0]->server()->GetStats().rejected, 1u);
-  EXPECT_EQ(replicas[1]->server()->GetStats().rejected, 0u);
-  EXPECT_GE(metrics.GetCounter("fleet.retransmits")->value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("fleet.shed")->value(), 0u);
-  router.Stop();
-  for (auto& r : replicas) r->Stop();
+  EXPECT_GE(fleet.replicas[0]->server()->GetStats().rejected, 1u);
+  EXPECT_EQ(fleet.replicas[1]->server()->GetStats().rejected, 0u);
+  EXPECT_GE(fleet.metrics.GetCounter("fleet.retransmits")->value(), 1u);
+  EXPECT_EQ(fleet.metrics.GetCounter("fleet.shed")->value(), 0u);
+  // Stop flushes the held block rather than waiting out its deadline.
+  fleet.replicas[0]->Stop();
+  Result<BlockPrediction> r = held_reply.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->labels, (std::vector<int32_t>{reference[1], reference[2],
+                                             reference[3], reference[4]}));
+}
+
+// A request larger than every replica's admission bound is still
+// served: an idle replica admits it whole instead of bouncing it.
+TEST(FleetRouterTest, RequestLargerThanMaxQueueIsServed) {
+  DataTable table = FleetData(64, 65);
+  ForestModel forest = TrainFleetForest(table);
+  const std::vector<int32_t> reference = ReferenceLabels(forest, table);
+  AdmissionFleet fleet(forest, {8, 8});
+
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < 40; ++r) rows.push_back(r * 3 % 64);
+  for (int i = 0; i < 4; ++i) {
+    Result<FleetBatchResult> result =
+        fleet.router->PredictRows("m", table, rows.data(), rows.size()).get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->labels.size(), rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      EXPECT_EQ(result->labels[j], reference[rows[j]]);
+    }
+  }
+  for (const auto& replica : fleet.replicas) {
+    EXPECT_EQ(replica->server()->GetStats().rejected, 0u);
+  }
+  EXPECT_EQ(fleet.metrics.GetCounter("fleet.retransmits")->value(), 0u);
+  EXPECT_EQ(fleet.metrics.GetCounter("fleet.shed")->value(), 0u);
 }
 
 // A request whose task kind differs from the served model's is a hard

@@ -980,7 +980,8 @@ TEST(InferenceServerTest, BlockLargerThanMaxBatchIsFlushedAlone) {
 }
 
 // Admission counts rows: a 16-row block takes the budget of 16 one-row
-// requests, and a block that does not fit is rejected whole.
+// requests, a block that does not fit is rejected whole, and a block
+// larger than the bound is admitted once nothing else is queued.
 TEST(InferenceServerTest, AdmissionCountsRowsAndRejectsWholeBlocks) {
   auto table = std::make_shared<DataTable>(MixedData(2, 50, 83));
   ForestModel forest = TrainSmallForest(*table, 2, 4);
@@ -1004,7 +1005,7 @@ TEST(InferenceServerTest, AdmissionCountsRowsAndRejectsWholeBlocks) {
   one.table = table;
   EXPECT_EQ(server.Predict(std::move(one)).get().status().code(),
             StatusCode::kUnavailable);
-  // Larger than the whole bound: never fits.
+  // Larger than the whole bound, with other rows queued.
   EXPECT_EQ(
       SubmitBlock(&server, "m", table, RowRange(0, 17)).get().status().code(),
       StatusCode::kUnavailable);
@@ -1022,8 +1023,19 @@ TEST(InferenceServerTest, AdmissionCountsRowsAndRejectsWholeBlocks) {
   for (uint32_t i = 0; i < 6; ++i) {
     EXPECT_EQ(r2->labels[i], forest.PredictLabel(*table, 10 + i));
   }
+  // Executed rows leave the bound, and an idle server admits a block
+  // larger than it.
+  EXPECT_EQ(server.queue_depth(), 0u);
+  Result<BlockPrediction> big =
+      SubmitBlock(&server, "m", table, RowRange(0, 40)).get();
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_EQ(big->labels.size(), 40u);
+  for (uint32_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(big->labels[i], forest.PredictLabel(*table, i));
+  }
   server.Stop();
-  EXPECT_EQ(server.queue_depth(), 0u);  // executed rows leave the bound
+  EXPECT_EQ(server.GetStats().rejected, 3u);
+  EXPECT_EQ(server.queue_depth(), 0u);
 }
 
 // Stop with blocks in flight returns, and every completion has run by
