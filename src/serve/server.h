@@ -33,8 +33,8 @@ struct InferenceServerConfig {
   /// Admission bound, in rows: Submit() rejects a block with
   /// Unavailable when it would take the rows admitted but not yet
   /// executing past this bound (backpressure). A block is always
-  /// admitted when no rows are queued, so one larger than the bound
-  /// waits for the server to drain instead of failing forever.
+  /// admitted when no rows are queued, so one larger than the bound is
+  /// served once the server has drained.
   size_t max_queue = 4096;
   /// Destination for serving metrics; nullptr uses
   /// MetricsRegistry::Global(). Metrics:
@@ -110,11 +110,11 @@ struct Prediction {
 /// is flushed alone. The model version is resolved once per flush
 /// (atomic registry load), so every row of a block is scored by one
 /// version and a hot-swapped model takes over between blocks, never
-/// inside one. Worker threads execute
-/// batches through the compiled predictors, grouping blocks by (table,
-/// max_depth) so each group is a single batched traversal. Admission
-/// control rejects rows beyond `max_queue` instead of queueing
-/// unboundedly. Predict() is a one-row block on the same path whose
+/// inside one. Worker threads execute batches through the compiled
+/// predictors, grouping blocks by (table, max_depth) so each group is
+/// a single batched traversal. Admission control rejects rows beyond
+/// `max_queue` instead of queueing unboundedly. Predict() is a one-row
+/// block on the same path whose
 /// row and promise are held inline, so its only per-row allocation is
 /// the future's shared state.
 ///
